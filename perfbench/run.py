@@ -14,6 +14,7 @@ counts, the Python version and the CPU count. See perfbench/README.md.
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import os
 import platform
@@ -28,6 +29,11 @@ ROOT = Path(__file__).resolve().parent.parent
 HERE = Path(__file__).resolve().parent
 OUT = HERE / "out"
 SETUP_PROBES = 12
+# Host time is scaled to a reference host on which calibrate() takes
+# REF_CAL_S; a calibration runs after every CAL_EVERY_S of timed ops.
+CAL_LOOPS = 100_000
+REF_CAL_S = 0.008
+CAL_EVERY_S = 0.05
 MIN_PASSES = 3
 MAX_PASSES = 8
 
@@ -48,15 +54,25 @@ def load_refs(workload: str) -> dict:
     return json.loads((HERE / "refs.json").read_text())["workloads"][workload]
 
 
+def calibrate() -> float:
+    """Seconds this host takes, right now, for a fixed pure-Python loop."""
+    start = time.perf_counter()
+    total = 0
+    for i in range(CAL_LOOPS):
+        total += i * i
+    return time.perf_counter() - start
+
+
 def setup_once(workload: str) -> float:
     """Seconds from spawning a fresh interpreter until it has imported
-    qcpsim and prepared the workload's programs."""
+    qcpsim and prepared the workload's programs, at reference speed."""
     start = time.perf_counter_ns()
     done = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--setup-probe",
          "--workload", workload],
         cwd=ROOT, capture_output=True, text=True, timeout=60, check=True)
-    return (int(done.stdout.split()[-1]) - start) / 1e9
+    end_ns, cal = done.stdout.split()[-2:]
+    return (int(end_ns) - start) / 1e9 * REF_CAL_S / float(cal)
 
 
 class Outcomes:
@@ -102,48 +118,84 @@ class Outcomes:
         return statistics.median(self.op_s) * 1e3
 
 
+def reference_times(op_s: list[float], cals: list[tuple[int, float]]):
+    """Each op's time scaled to the reference host. `cals` holds
+    (ops done, seconds) per calibration; an op is scaled by the median of
+    the two calibrations before it and the two after it."""
+    at = [n for n, _ in cals]
+    scaled = []
+    for i, t in enumerate(op_s):
+        k = bisect.bisect_right(at, i)
+        near = [c for _, c in cals[max(0, k - 2):k + 2]]
+        scaled.append(t * REF_CAL_S / statistics.median(near))
+    return scaled
+
+
 def run_untraced(q, wl, refs, seed: int, seconds: float):
     out = Outcomes(q, wl, refs)
     ops = wl.round(seed)
     out.record(ops[0], out.timed(ops[0]))   # untimed: lets lazy set-up finish
     out.op_s.clear()
     work, setup = [], []
-    busy = 0.0
+    cals = [(0, calibrate())]
+    busy = since_cal = 0.0
     while busy < seconds:
         for args in ops:
             outcome = out.timed(args)
             busy += out.op_s[-1]
+            since_cal += out.op_s[-1]
             work.append(out.record(args, outcome))
-        if len(setup) < SETUP_PROBES * busy / seconds:
+            if since_cal >= CAL_EVERY_S:
+                cals.append((len(out.op_s), calibrate()))
+                since_cal = 0.0
+        if len(setup) < min(SETUP_PROBES, SETUP_PROBES * busy / seconds):
             setup.append(setup_once(wl.name))
+    cals.append((len(out.op_s), calibrate()))
     while len(setup) < SETUP_PROBES:
         setup.append(setup_once(wl.name))
 
-    # The host's speed swings by up to 2x, in phases of seconds to minutes.
-    # Every round does the same work, so, as with timeit, the fastest round
-    # gives the rates. Set-ups are spread over the run and the fastest
-    # counts. Latency is given by p10 and p90.
-    n, b = len(work), len(ops)
-    rounds = [(sum(out.op_s[i:i + b]), sum(r for r, _ in work[i:i + b]),
-               sum(c for _, c in work[i:i + b])) for i in range(0, n, b)]
-    fast_t, fast_runs, fast_cycles = min(rounds)
-    deciles = statistics.quantiles(out.op_s, n=10)
+    # The host's speed swings by up to 2x, in phases of seconds to minutes,
+    # and a pure-Python loop slows down with it. So every host time is
+    # scaled by how long the calibration loop took next to it: the metrics
+    # read as times on a host where calibrate() takes REF_CAL_S.
+    #
+    # The host also stalls single ops for tens of milliseconds, often for
+    # minutes at a time, which the short calibrations miss. Every round does
+    # the same work, so the rounds that took longest are the ones stalled
+    # most: the third of the rounds with the highest scaled time is dropped.
+    op_ref = reference_times(out.op_s, cals)
+    b = len(ops)
+    rounds = sorted(range(0, len(op_ref), b), key=lambda i: sum(op_ref[i:i + b]))
+    kept = [j for i in rounds[:max(1, len(rounds) * 2 // 3)] for j in range(i, i + b)]
+    lat = [op_ref[j] for j in kept]
+    deciles = statistics.quantiles(lat, n=10)
+    runs, cycles = sum(work[j][0] for j in kept), sum(work[j][1] for j in kept)
     metrics = {
-        "setup_s": min(setup),
-        "runs_per_s": fast_runs / fast_t,
-        "sim_cycles_per_s": fast_cycles / fast_t,
-        "op_ms_p10": deciles[0] * 1e3,
+        "setup_s": statistics.median(setup),
+        "runs_per_s": runs / sum(lat),
+        "sim_cycles_per_s": cycles / sum(lat),
+        "op_ms_p50": statistics.median(lat) * 1e3,
         "op_ms_p90": deciles[8] * 1e3,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
+    n = len(lat)
+    cal_s = [c for _, c in cals]
     runs, cycles = sum(r for r, _ in work), sum(c for _, c in work)
-    info = {"ops_timed": n, "ops_per_round": b, "rounds": len(rounds),
-            "ops_beyond_p90": sum(t > deciles[8] for t in out.op_s),
+    info = {"ops_timed": len(op_ref), "ops_per_round": b, "rounds": len(rounds),
+            "ops_kept": n, "ops_beyond_p90": sum(t > deciles[8] for t in lat),
             "busy_s": busy, "engine_runs": runs, "sim_cycles": cycles,
-            "mean_runs_per_s": runs / busy, "mean_sim_cycles_per_s": cycles / busy,
-            "op_ms_p50": out.p50_ms(), "setup_samples_s": setup}
+            "calibrations": len(cals), "cal_ms_median": statistics.median(cal_s) * 1e3,
+            "cal_ms_min": min(cal_s) * 1e3, "cal_ms_max": max(cal_s) * 1e3,
+            "host_runs_per_s": runs / busy, "host_sim_cycles_per_s": cycles / busy,
+            "host_op_ms_p50": out.p50_ms(),
+            "host_op_ms_p90": statistics.quantiles(out.op_s, n=10)[8] * 1e3,
+            "setup_samples_s": setup}
+    OUT.mkdir(exist_ok=True)
+    (OUT / f"samples-{wl.name}.json").write_text(json.dumps(
+        {"ops": [wl.key(a) for a in ops], "op_s": out.op_s, "op_ref_s": op_ref,
+         "cals": cals}))
     if n < 100:
-        print(f"warning: {n} timed ops, fewer than ten beyond p90",
+        print(f"warning: {n} ops kept, fewer than ten beyond p90",
               file=sys.stderr)
     return out, metrics, info
 
@@ -226,6 +278,7 @@ def main(argv=None) -> int:
     if args.setup_probe:
         wl_cls(q)
         print(time.perf_counter_ns())
+        print(statistics.median(calibrate() for _ in range(3)))
         return 0
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())

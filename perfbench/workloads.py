@@ -154,10 +154,18 @@ class Feedback(Workload):
     One op is one run of each, so op latency has one mode: a single RUS run
     takes about half as long as an active-reset run, and the median of
     single runs would sit in the gap between the two and flip with noise.
+    A round runs every machine seed of the pool once, in an order the
+    workload seed picks: how long RUS takes depends on the machine seed, so
+    every seed's round then does the same work.
     """
 
     name = "feedback"
-    round_size = 50
+    round_size = POOL
+
+    def round(self, seed):
+        seeds = [(s,) for s in range(1, POOL + 1)]
+        random.Random(seed).shuffle(seeds)
+        return seeds
 
     def __init__(self, q):
         super().__init__(q)
