@@ -15,7 +15,7 @@ from .blocks import (BlockInfoEntry, BlockInfoTable, advance_priority_counter,
 from .bench import (Benchmark, BENCHMARKS, ExperimentSpec, compare_runs,
                     gen_active_reset_plus_rb, gen_dense, gen_feedforward,
                     gen_parallel_rus, gen_steane_syndrome, ideal_speedup,
-                    make_benchmark, run_experiment, run_once, sweep_cores)
+                    make_benchmark, run_experiment, sweep_cores)
 from .config import MachineConfig, ConfigError, SEED_STRIDE
 from .core import SHARED_REG_BASE, StepRecord, decode_for_execution
 from .engine import Engine, RunTrace, RuntimeFault, ValidationFault, run_program

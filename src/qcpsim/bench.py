@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import SEED_STRIDE, MachineConfig
-from .engine import Engine, PreparedProgram, RunTrace
+from .engine import Engine, PreparedProgram, prepare
 from .isa import Program, parse_program
 from .metrics import RunReport, build_report, program_hash, speedup
 from .qpu import QpuConfig
@@ -21,7 +21,7 @@ from .qpu import QpuConfig
 __all__ = [
     "gen_dense", "gen_feedforward", "gen_parallel_rus", "gen_steane_syndrome",
     "gen_active_reset_plus_rb", "Benchmark", "BENCHMARKS", "make_benchmark",
-    "ExperimentSpec", "run_experiment", "run_once", "compare_runs",
+    "ExperimentSpec", "run_experiment", "compare_runs",
     "sweep_cores", "ideal_speedup",
 ]
 
@@ -305,7 +305,7 @@ BENCHMARKS = {
 
 @dataclass
 class ExperimentSpec:
-    program: Program
+    program: Program | PreparedProgram
     repetitions: int = 1
     bias: float | dict = 0.0
     gate_ns: int = 20
@@ -322,19 +322,15 @@ def _config_for(spec: ExperimentSpec, config: MachineConfig,
                    collect_steps=collect)
 
 
-def run_once(program: Program, config: MachineConfig) -> RunTrace:
-    return Engine(program, config).run()
-
-
 def run_experiment(spec: ExperimentSpec, config: MachineConfig) -> RunReport:
     """Run one program under one configuration, repeated over a seed stride.
 
     The report carries the first repetition's full step breakdown; with more
     than one repetition the execution-time distribution is summarized in
-    `extras`.
+    `extras`. A `PreparedProgram` in the spec is used as it is.
     """
-    phash = program_hash(spec.program)
-    prepared = PreparedProgram(spec.program, config.qpu.qubit_count or None)
+    prepared = prepare(spec.program, config)
+    phash = program_hash(prepared.program)
     first_cfg = _config_for(spec, config, config.seed, collect=True)
     trace = Engine(prepared, first_cfg).run()
     report = build_report(trace, phash, spec.gate_ns)
@@ -374,6 +370,8 @@ def mean_exec_ns(spec: ExperimentSpec, config: MachineConfig) -> float:
 
 def sweep_cores(spec: ExperimentSpec, config: MachineConfig,
                 core_counts: list[int]) -> dict[int, RunReport]:
+    # every core count shares `config.qpu`, so one preparation serves all
+    spec = replace(spec, program=prepare(spec.program, config))
     out = {}
     for n in core_counts:
         out[n] = run_experiment(spec, replace(config, cores=n))
@@ -381,10 +379,16 @@ def sweep_cores(spec: ExperimentSpec, config: MachineConfig,
 
 
 def ideal_speedup(spec: ExperimentSpec, config: MachineConfig,
-                  cores: int) -> float:
+                  cores: int, base_ns: float | None = None) -> float:
     """Observed single-core time against a zero-cost-scheduling run at the
-    target core count; actual speedup can never exceed this bound."""
-    base = mean_exec_ns(spec, replace(config, cores=1))
+    target core count; actual speedup can never exceed this bound.
+
+    `base_ns` is the single-core mean execution time when the caller has
+    already measured it; otherwise it is measured here.
+    """
+    base = base_ns
+    if base is None:
+        base = mean_exec_ns(spec, replace(config, cores=1))
     ideal = mean_exec_ns(
         spec, replace(config.zero_cost_scheduling(), cores=cores))
     return base / ideal

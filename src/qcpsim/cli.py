@@ -9,9 +9,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from .bench import (BENCHMARKS, ExperimentSpec, compare_runs, make_benchmark,
-                    sweep_cores, ideal_speedup)
+                    mean_exec_ns, sweep_cores, ideal_speedup)
 from .config import ConfigError, MachineConfig
-from .engine import Engine, RuntimeFault, ValidationFault
+from .engine import Engine, RuntimeFault, ValidationFault, prepare
 from .isa import (ParseError, decode_program, encode_program, parse_program,
                   validate_program)
 from .metrics import build_report, events_to_csv, program_hash
@@ -62,12 +62,13 @@ def cmd_assemble(args) -> int:
 def cmd_run(args) -> int:
     config = _load_config(args.config)
     program = _load_program(args.program)
-    diagnostics = validate_program(program, config.qpu.qubit_count or None)
-    if diagnostics:
-        for d in diagnostics:
+    try:
+        prepared = prepare(program, config)
+    except ValidationFault as fault:
+        for d in fault.diagnostics:
             print(f"error: {d}", file=sys.stderr)
         return EXIT_VALIDATION
-    trace = Engine(program, config).run()
+    trace = Engine(prepared, config).run()
     report = build_report(trace, program_hash(program))
     if args.trace:
         Path(args.trace).write_text(events_to_csv(trace.events))
@@ -94,13 +95,17 @@ def cmd_bench(args) -> int:
     if args.bias is not None:
         params.setdefault("bias", args.bias)
     bench = make_benchmark(args.name, **params)
-    spec = ExperimentSpec(bench.program, repetitions=args.seeds,
-                          bias=bench.bias, gate_ns=bench.gate_ns)
     cores = [int(c) for c in args.cores.split(",")]
     width = args.width
     config = replace(config, superscalar_width=width)
+    spec = ExperimentSpec(prepare(bench.program, config),
+                          repetitions=args.seeds, bias=bench.bias,
+                          gate_ns=bench.gate_ns)
     results = sweep_cores(spec, config, cores)
     base_mean = results[cores[0]].extras["exec_ns_mean"]
+    if args.ideal:
+        one_core_ns = (results[1].extras["exec_ns_mean"] if 1 in results
+                       else mean_exec_ns(spec, replace(config, cores=1)))
     summary = {
         "benchmark": bench.name,
         "width": width,
@@ -117,7 +122,7 @@ def cmd_bench(args) -> int:
             "speedup": base_mean / rep.extras["exec_ns_mean"],
         }
         if args.ideal:
-            cell["ideal_speedup"] = ideal_speedup(spec, config, n)
+            cell["ideal_speedup"] = ideal_speedup(spec, config, n, one_core_ns)
         summary["cells"][str(n)] = cell
     _emit(json.dumps(summary, sort_keys=True, indent=2), args.output)
     return EXIT_OK

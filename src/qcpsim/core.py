@@ -688,9 +688,10 @@ class Core:
                 self.next_pop_ns = 0
             return False, True
         regs = self.regs
-        private = item[2] < 24 and item[3] < 24 and item[4] < 24
+        private = (item[2] < SHARED_REG_BASE and item[3] < SHARED_REG_BASE
+                   and item[4] < SHARED_REG_BASE)
         if op == _OP_LDI:
-            if item[2] < 24:
+            if item[2] < SHARED_REG_BASE:
                 regs[item[2]] = item[5]
             else:
                 self._write_reg(item[2], item[5])
@@ -724,7 +725,7 @@ class Core:
                 self._write_reg(item[2],
                                 self._read_reg(item[3]) | self._read_reg(item[4]))
         elif op == _OP_CMP:
-            if item[3] < 24 and item[4] < 24:
+            if item[3] < SHARED_REG_BASE and item[4] < SHARED_REG_BASE:
                 a, b = regs[item[3]], regs[item[4]]
             else:
                 a, b = self._read_reg(item[3]), self._read_reg(item[4])

@@ -19,7 +19,7 @@ from .qpu import Collision, IssueEvent, QpuState
 from .sched import Scheduler, SchedulerEvent
 
 __all__ = ["Engine", "PreparedProgram", "RunTrace", "RuntimeFault",
-           "ValidationFault", "run_program"]
+           "ValidationFault", "prepare", "run_program"]
 
 RESULT_REGS = 32
 SHARED_REGS = 8
@@ -61,7 +61,8 @@ class RunTrace:
 
 class PreparedProgram:
     """Validation, table construction, and lowering done once per program,
-    shared by every run of that program."""
+    shared by every run of that program. This is the one place on the run
+    path where a program is validated."""
 
     __slots__ = ("program", "table", "items", "qubit_count")
 
@@ -76,14 +77,22 @@ class PreparedProgram:
         self.qubit_count = decoded.qubit_count
 
 
+def prepare(program: Program | PreparedProgram,
+            config: MachineConfig) -> PreparedProgram:
+    """The program prepared for `config`'s qubit budget; one already
+    prepared is returned as it is."""
+    if isinstance(program, PreparedProgram):
+        return program
+    return PreparedProgram(program, config.qpu.qubit_count or None)
+
+
 class Engine:
     """One complete machine bound to one program and one configuration."""
 
     def __init__(self, program: Program | PreparedProgram,
                  config: MachineConfig):
         config.validate()
-        if not isinstance(program, PreparedProgram):
-            program = PreparedProgram(program, config.qpu.qubit_count or None)
+        program = prepare(program, config)
         self.config = config
         self.clock = config.clock_period_ns
         self.program = program.program

@@ -13,6 +13,7 @@ import json
 import math
 import re
 import struct
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -669,9 +670,23 @@ def _effective_blocks(p: Program) -> list[BlockDirective]:
     return [BlockDirective("main", 0, len(p.instructions) - 1, deps=())]
 
 
+def _ins_where(pc: int, ins: Instruction) -> str:
+    return f"pc {pc}" if ins.src_line == 0 else f"line {ins.src_line}"
+
+
+def _block_where(d: BlockDirective) -> str:
+    return f"line {d.src_line}" if d.src_line else f"block {d.name}"
+
+
 def validate_program(p: Program, qubit_budget: int | None = None) -> list[Diagnostic]:
-    """Static checks; an empty list means the program is runnable."""
+    """Static checks; an empty list means the program is runnable.
+
+    Instructions are walked once. The walk reports qubit range errors and
+    collects measurement producers plus the pcs of branches and result
+    readers, which the block and def-use checks then visit on their own.
+    """
     out: list[Diagnostic] = []
+    instructions = p.instructions
     blocks = _effective_blocks(p)
 
     if len(blocks) > MAX_BLOCKS:
@@ -680,80 +695,91 @@ def validate_program(p: Program, qubit_budget: int | None = None) -> list[Diagno
                               f"({len(blocks)} > {MAX_BLOCKS})"))
 
     budget = qubit_budget if qubit_budget else p.qubit_count
+    quantum, classical, mrce = Kind.QUANTUM, Kind.CLASSICAL, Kind.MRCE
+    meas, fmr, br, jmp = Gate.MEAS, ClassicalOp.FMR, ClassicalOp.BR, ClassicalOp.JMP
     produced: set[int] = set()
-    for pc, ins in enumerate(p.instructions):
-        where = f"pc {pc}" if ins.src_line == 0 else f"line {ins.src_line}"
+    branches: list[int] = []
+    readers: list[int] = []     # FMR and MRCE
+    for pc, ins in enumerate(instructions):
+        kind = ins.kind
         for q in ins.qubits:
             if q >= budget:
-                out.append(Diagnostic(where, f"qubit q{q} out of range ({budget})"))
-        if ins.kind == Kind.MRCE and ins.mrce_target >= budget:
-            out.append(Diagnostic(where, f"qubit q{ins.mrce_target} out of range "
-                                         f"({budget})"))
-        if ins.is_quantum and ins.gate == Gate.MEAS:
-            produced.add(ins.result_reg)
+                out.append(Diagnostic(_ins_where(pc, ins),
+                                      f"qubit q{q} out of range ({budget})"))
+        if kind == quantum:
+            if ins.gate == meas:
+                produced.add(ins.result_reg)
+        elif kind == classical:
+            op = ins.classical_op
+            if op == br or op == jmp:
+                branches.append(pc)
+            elif op == fmr:
+                readers.append(pc)
+        elif kind == mrce:
+            if ins.mrce_target >= budget:
+                out.append(Diagnostic(_ins_where(pc, ins),
+                                      f"qubit q{ins.mrce_target} out of range "
+                                      f"({budget})"))
+            readers.append(pc)
 
     # block geometry: in-range, ordered, disjoint, covering
     seen_names = set()
     spans = []
     for d in blocks:
-        where = f"line {d.src_line}" if d.src_line else f"block {d.name}"
         if d.name in seen_names:
-            out.append(Diagnostic(where, f"duplicate block name {d.name!r}"))
+            out.append(Diagnostic(_block_where(d), f"duplicate block name {d.name!r}"))
         seen_names.add(d.name)
         if d.pc_start > d.pc_end:
-            out.append(Diagnostic(where, "pc_start exceeds pc_end"))
+            out.append(Diagnostic(_block_where(d), "pc_start exceeds pc_end"))
             continue
-        if d.pc_end >= len(p.instructions):
-            out.append(Diagnostic(where, "block range exceeds program length"))
+        if d.pc_start < 0:
+            out.append(Diagnostic(_block_where(d), "block range starts before pc 0"))
+            continue
+        if d.pc_end >= len(instructions):
+            out.append(Diagnostic(_block_where(d),
+                                  "block range exceeds program length"))
             continue
         spans.append((d.pc_start, d.pc_end, d))
-    spans.sort()
-    for (s1, e1, _), (s2, _e2, d2) in zip(spans, spans[1:]):
+    # stable on equal ranges: the later declaration is the one reported
+    spans.sort(key=lambda span: (span[0], span[1]))
+    for (_s1, e1, _), (s2, _e2, d2) in zip(spans, spans[1:]):
         if s2 <= e1:
-            where = f"line {d2.src_line}" if d2.src_line else f"block {d2.name}"
-            out.append(Diagnostic(where, "block ranges overlap"))
-    covered = set()
+            out.append(Diagnostic(_block_where(d2), "block ranges overlap"))
+    next_pc = 0     # first pc not covered by the spans swept so far
     for s, e, _ in spans:
-        covered.update(range(s, e + 1))
-    for pc in range(len(p.instructions)):
-        if pc not in covered:
-            out.append(Diagnostic(f"pc {pc}", "instruction not covered by any block"))
+        if s > next_pc:
             break
+        next_pc = max(next_pc, e + 1)
+    if next_pc < len(instructions):
+        out.append(Diagnostic(f"pc {next_pc}", "instruction not covered by any block"))
 
     # dependency names and acyclicity (direct representation)
     by_name = {d.name: d for d in blocks}
     for d in blocks:
-        where = f"line {d.src_line}" if d.src_line else f"block {d.name}"
         for dep in d.deps or ():
             if dep not in by_name:
-                out.append(Diagnostic(where, f"unresolved dependency {dep!r}"))
+                out.append(Diagnostic(_block_where(d), f"unresolved dependency {dep!r}"))
             elif dep == d.name:
-                out.append(Diagnostic(where, "block depends on itself"))
+                out.append(Diagnostic(_block_where(d), "block depends on itself"))
     if all((d.deps is not None) for d in blocks) and blocks:
         if _has_cycle(blocks):
             out.append(Diagnostic("block table", "dependency cycle detected"))
 
     # branch targets stay inside the enclosing block
     for s, e, d in spans:
-        for pc in range(s, e + 1):
-            ins = p.instructions[pc]
-            if ins.is_classical and ins.classical_op in (ClassicalOp.BR, ClassicalOp.JMP):
-                if not s <= ins.target <= e:
-                    where = f"pc {pc}" if ins.src_line == 0 else f"line {ins.src_line}"
-                    out.append(Diagnostic(
-                        where, f"branch target {ins.target} outside block {d.name!r}"))
-
-    # every FMR source must be produced by some measurement
-    for pc, ins in enumerate(p.instructions):
-        if ins.is_classical and ins.classical_op == ClassicalOp.FMR:
-            if ins.result_reg not in produced:
-                where = f"pc {pc}" if ins.src_line == 0 else f"line {ins.src_line}"
+        for pc in branches[bisect_left(branches, s):bisect_right(branches, e)]:
+            ins = instructions[pc]
+            if not s <= ins.target <= e:
                 out.append(Diagnostic(
-                    where, f"result register r{ins.result_reg} never produced"))
-        if ins.kind == Kind.MRCE and ins.result_reg not in produced:
-            where = f"pc {pc}" if ins.src_line == 0 else f"line {ins.src_line}"
-            out.append(Diagnostic(
-                where, f"result register r{ins.result_reg} never produced"))
+                    _ins_where(pc, ins),
+                    f"branch target {ins.target} outside block {d.name!r}"))
+
+    # every FMR or MRCE source must be produced by some measurement
+    for pc in readers:
+        ins = instructions[pc]
+        if ins.result_reg not in produced:
+            out.append(Diagnostic(_ins_where(pc, ins),
+                                  f"result register r{ins.result_reg} never produced"))
     return out
 
 

@@ -16,12 +16,11 @@ import io
 import json
 from dataclasses import dataclass, field
 
-from .core import StepRecord
 from .engine import RunTrace
 from .isa import Program, encode_program
 from .qpu import IssueEvent
 
-__all__ = ["StepMetrics", "RunReport", "steps_of", "ces_of_step", "tr_of_step",
+__all__ = ["StepMetrics", "RunReport", "steps_of", "tr_of_step",
            "build_report", "speedup", "program_hash", "events_to_csv",
            "steps_to_csv"]
 
@@ -113,12 +112,6 @@ def steps_of(events: list[IssueEvent]) -> list[list[IssueEvent]]:
     return [groups[k] for k in sorted(groups)]
 
 
-def ces_of_step(step: StepRecord) -> int:
-    total = (step.cycles_quantum + step.cycles_classical
-             + step.cycles_stall + step.cycles_feedback)
-    return total
-
-
 def tr_of_step(ces: int, clock_ns: int, gate_ns: int) -> float:
     if gate_ns <= 0:
         raise ValueError("gate time must be positive")
@@ -135,7 +128,7 @@ def build_report(trace: RunTrace, phash: str = "",
     index_per_core: dict[int, int] = {}
     max_tr = 0.0
     for rec in trace.steps:
-        ces = ces_of_step(rec)
+        ces = rec.ces
         tr = tr_of_step(ces, clock, gate)
         idx = index_per_core.get(rec.core, 0)
         index_per_core[rec.core] = idx + 1

@@ -98,9 +98,6 @@ class Scheduler:
                                f"{status.name} for block {b}")
         self.statuses[b] = status
 
-    def all_done(self) -> bool:
-        return self.done_count == len(self.table)
-
     def ready(self, b: int) -> bool:
         return deps_satisfied(self.table, self.done_mask, self.priority_counter, b)
 
@@ -278,11 +275,3 @@ class Scheduler:
         self.events.append(SchedulerEvent(now, "done", b, core.core_id))
         self.block_spans.append((b, core.core_id, self._exec_start.get(b, 0), now))
         self.dirty = True
-
-    def next_wake(self) -> int | None:
-        """Earliest future cycle at which this scheduler must run again."""
-        if self.transfer is not None:
-            return self.transfer[4]
-        if self.dirty:
-            return None  # must run every cycle until quiescent
-        return None if self.busy_until == 0 else None

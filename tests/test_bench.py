@@ -253,3 +253,39 @@ def test_single_rus_bias_zero_runs_once():
     trace = Engine(p, cfg).run()
     assert sum(1 for e in trace.events if e.gate == "MEAS") == 1
     assert not any(e.gate == "X" for e in trace.events)
+
+
+def _count_engine_runs(monkeypatch) -> list:
+    runs = []
+    orig = Engine.run
+
+    def counting(self):
+        runs.append(self.config.cores)
+        return orig(self)
+
+    monkeypatch.setattr(Engine, "run", counting)
+    return runs
+
+
+@pytest.mark.parametrize("cores, expected_runs", [
+    ("1,2,4,6", 80),    # 40 for the sweep, one ideal run set per core count
+    ("2,4", 50),        # no 1-core cell: the baseline is measured once
+])
+def test_cli_bench_ideal_reuses_one_core_baseline(monkeypatch, capsys, cores,
+                                                  expected_runs):
+    from dataclasses import replace
+
+    from qcpsim import cli
+    runs = _count_engine_runs(monkeypatch)
+    argv = ["bench", "parallel_rus", "n=2", "--cores", cores, "--seeds", "10",
+            "--ideal"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert len(runs) == expected_runs
+    cells = json.loads(capsys.readouterr().out)["cells"]
+    bench = make_benchmark("parallel_rus", n=2)
+    spec = ExperimentSpec(bench.program, repetitions=10, bias=bench.bias,
+                          gate_ns=bench.gate_ns)
+    config = replace(MachineConfig(), superscalar_width=1)
+    for n in cores.split(","):
+        # the same value as measuring the baseline afresh for every cell
+        assert cells[n]["ideal_speedup"] == ideal_speedup(spec, config, int(n))

@@ -10,7 +10,7 @@ from qcpsim.blocks import (
     pack_priority_entry, to_direct_table, to_priority_table,
     unpack_priority_entry,
 )
-from qcpsim.isa import parse_program
+from qcpsim.isa import MAX_BLOCKS, parse_program
 
 
 def _program(block_lines):
@@ -55,6 +55,12 @@ def test_build_table_single_block_no_deps():
 def test_build_table_unresolved_dep():
     with pytest.raises(TableError):
         build_table(_program([".block a start=0 end=9 deps=ghost"]))
+
+
+def test_build_table_capacity():
+    with pytest.raises(TableError, match="capacity exceeded"):
+        build_table(_program([f".block b{i} start={i} end={i} deps=none"
+                              for i in range(MAX_BLOCKS + 1)]))
 
 
 def test_deps_satisfied_direct_example():
