@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .isa import MAX_BLOCKS, BlockDirective, Program
+from .isa import MAX_BLOCKS, Program, _effective_blocks
 
 __all__ = [
     "DIRECT", "PRIORITY", "BlockInfoEntry", "BlockInfoTable", "TableError",
@@ -69,11 +69,9 @@ def build_table(p: Program) -> BlockInfoTable:
     needs is checked, with a `TableError`: its capacity and that every
     dependency names a block.
     """
-    directives = p.block_directives
+    directives = _effective_blocks(p)
     if not directives:
-        if not p.instructions:
-            return BlockInfoTable((), DIRECT)
-        directives = [BlockDirective("main", 0, len(p.instructions) - 1, deps=())]
+        return BlockInfoTable((), DIRECT)
     if len(directives) > MAX_BLOCKS:
         raise TableError(f"block table capacity exceeded ({len(directives)})")
 

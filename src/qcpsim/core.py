@@ -20,6 +20,8 @@ from __future__ import annotations
 __all__ = ["Core", "DecodedProgram", "decode_for_execution", "StepRecord",
            "SHARED_REG_BASE"]
 
+from typing import NamedTuple
+
 from .isa import ClassicalOp, Gate, Kind, Program
 from .sched import SimulatorBug
 
@@ -97,26 +99,20 @@ class _Entry:
         self.block = block
 
 
-class StepRecord:
+class StepRecord(NamedTuple):
     """Cycle decomposition of one issued timing point."""
 
-    __slots__ = ("core", "block", "scheduled_ns", "actual_ns", "qices",
-                 "cycles_quantum", "cycles_classical", "cycles_stall",
-                 "cycles_feedback", "violation_ns", "injected")
-
-    def __init__(self, core, block, scheduled_ns, actual_ns, qices,
-                 cq, cc, cs, cf, violation_ns, injected=False):
-        self.core = core
-        self.block = block
-        self.scheduled_ns = scheduled_ns
-        self.actual_ns = actual_ns
-        self.qices = qices
-        self.cycles_quantum = cq
-        self.cycles_classical = cc
-        self.cycles_stall = cs
-        self.cycles_feedback = cf
-        self.violation_ns = violation_ns
-        self.injected = injected
+    core: int
+    block: int
+    scheduled_ns: int
+    actual_ns: int
+    qices: int
+    cycles_quantum: int
+    cycles_classical: int
+    cycles_stall: int
+    cycles_feedback: int
+    violation_ns: int
+    injected: bool = False
 
     @property
     def ces(self) -> int:
@@ -794,7 +790,9 @@ class Core:
 
     # ── timing controller ──────────────────────────────────────────
 
-    def _entry_actual(self, entry: _Entry) -> int:
+    def _entry_times(self, entry: _Entry) -> tuple[int, int]:
+        """(local, actual) of a timing point popped next: its time on the
+        program's chain, and when it can issue."""
         prev = self.prev_actual
         local = (prev + entry.gap) if prev >= 0 else entry.sched
         actual = local
@@ -804,36 +802,38 @@ class Core:
         closed = entry.closed_cycle * self.clock
         if closed > actual:
             actual = closed
-        return actual
+        return local, actual
 
     def _pop_ready(self, now_ns: int) -> None:
         entries = self.entries
         injected = self.injected
-        if not injected:
-            idx = self.pop_idx
-            if idx >= len(entries) or entries[idx].closed_cycle < 0:
-                self.next_pop_ns = 1 << 62
-                return
+        idx = self.pop_idx
+        if not injected and (idx >= len(entries)
+                             or entries[idx].closed_cycle < 0):
+            self.next_pop_ns = 1 << 62
+            return
+        clock = self.clock
+        depth = self.depth_offset
         while True:
-            main = None
-            if self.pop_idx < len(entries):
-                cand = entries[self.pop_idx]
-                if cand.closed_cycle >= 0:
-                    main = cand
-            main_actual = self._entry_actual(main) if main is not None else None
+            main_actual = None
+            if idx < len(entries):
+                main = entries[idx]
+                if main.closed_cycle >= 0:
+                    local, main_actual = self._entry_times(main)
             inj_idx = -1
             inj_actual = None
             for i, rec in enumerate(injected):
                 a = rec[0]
-                r = rec[1] * self.clock + self.depth_offset
+                r = rec[1] * clock + depth
                 if r > a:
                     a = r
                 if inj_actual is None or a < inj_actual:
                     inj_actual, inj_idx = a, i
             if (main_actual is not None and main_actual <= now_ns
                     and (inj_actual is None or main_actual <= inj_actual)):
-                self._issue_entry(main, main_actual)
-                self.pop_idx += 1
+                self._issue_entry(main, local, main_actual)
+                idx += 1
+                self.pop_idx = idx
                 continue
             if inj_actual is not None and inj_actual <= now_ns:
                 self._issue_injected(injected.pop(inj_idx), inj_actual)
@@ -846,17 +846,20 @@ class Core:
             self.next_pop_ns = nxt
             break
 
-    def _issue_entry(self, entry: _Entry, actual: int) -> None:
-        prev = self.prev_actual
-        local = (prev + entry.gap) if prev >= 0 else entry.sched
-        if actual > local:
-            self.engine.violations.append((self.core_id, local, actual))
-        self.prev_actual = actual
+    def _issue_entry(self, entry: _Entry, local: int, actual: int) -> None:
+        """Issue a timing point at `actual`; `local` is its time on the
+        program's chain, so a positive difference is a violation."""
         engine = self.engine
+        core_id = self.core_id
+        if actual > local:
+            engine.violations.append((core_id, local, actual))
+        self.prev_actual = actual
         qpu = engine.qpu
         rf = engine.result_file
-        for gate, qubits, rreg, pc in entry.ops:
-            qpu.accept_issue(actual, entry.sched, gate, qubits, self.core_id)
+        sched = entry.sched
+        ops = entry.ops
+        for gate, qubits, rreg, pc in ops:
+            qpu.accept_issue(actual, sched, gate, qubits, core_id)
             if rreg >= 0:
                 bit, ready = qpu.measurement_result(qubits[0], actual, pc)
                 slot = rf[rreg]
@@ -865,7 +868,7 @@ class Core:
                 slot[2] = ready
         if engine.collect_steps:
             engine.steps.append(StepRecord(
-                self.core_id, entry.block, entry.sched, actual, len(entry.ops),
+                core_id, entry.block, sched, actual, len(ops),
                 entry.q_cycles, entry.c_cycles, entry.s_cycles, entry.f_cycles,
                 actual - local))
 
@@ -937,7 +940,7 @@ class Core:
         if self.pop_idx < len(self.entries):
             entry = self.entries[self.pop_idx]
             if entry.closed_cycle >= 0:
-                best = -(-self._entry_actual(entry) // self.clock)
+                best = -(-self._entry_times(entry)[1] // self.clock)
         for rec in self.injected:
             a = rec[0]
             r = rec[1] * self.clock + self.depth_offset

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .blocks import build_table, to_direct_table, to_priority_table
 from .config import MachineConfig
 from .core import Core, StepRecord, decode_for_execution
-from .isa import Program, validate_program
+from .isa import Diagnostic, Program, validate_program
 from .qpu import Collision, IssueEvent, QpuState
 from .sched import Scheduler, SchedulerEvent
 
@@ -107,8 +107,9 @@ class Engine:
 
         qubit_count = config.qpu.qubit_count or program.qubit_count
         if program.qubit_count > qubit_count:
-            raise ValidationFault([f"program uses {program.qubit_count} qubits, "
-                                   f"machine has {qubit_count}"])
+            raise ValidationFault([Diagnostic(
+                "machine", f"program uses {program.qubit_count} qubits, "
+                f"machine has {qubit_count}")])
         self.qpu = QpuState(config.qpu, max(qubit_count, 1), config.seed,
                             collect_events=config.collect_events)
 
@@ -145,6 +146,19 @@ class Engine:
             self.active_cores.sort(key=lambda c: c.core_id)
 
     def run(self) -> RunTrace:
+        """Run the program to completion; an engine runs once.
+
+        On the way out each core drops its reference back to the engine,
+        so a finished engine is freed by reference counting alone instead
+        of waiting for the cyclic garbage collector.
+        """
+        try:
+            return self._run()
+        finally:
+            for core in self.cores:
+                core.engine = None
+
+    def _run(self) -> RunTrace:
         sched = self.scheduler
         active = self.active_cores
         timeout = self.config.deadlock_timeout_cycles

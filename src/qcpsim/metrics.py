@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .engine import RunTrace
 from .isa import Program, encode_program
@@ -25,8 +26,7 @@ __all__ = ["StepMetrics", "RunReport", "steps_of", "tr_of_step",
            "steps_to_csv"]
 
 
-@dataclass(frozen=True)
-class StepMetrics:
+class StepMetrics(NamedTuple):
     core: int
     step_index: int
     scheduled_ns: int
@@ -123,20 +123,26 @@ def build_report(trace: RunTrace, phash: str = "",
     cfg = trace.config
     clock = cfg.clock_period_ns
     gate = gate_ns if gate_ns is not None else cfg.qpu.single_gate_ns
+    if gate <= 0:
+        raise ValueError("gate time must be positive")
     steps: list[StepMetrics] = []
+    append = steps.append
+    # per core, the TR of each of its steps; a step's index on its core is
+    # how many came before it
     per_core_trs: dict[int, list[float]] = {}
-    index_per_core: dict[int, int] = {}
     max_tr = 0.0
-    for rec in trace.steps:
-        ces = rec.ces
-        tr = tr_of_step(ces, clock, gate)
-        idx = index_per_core.get(rec.core, 0)
-        index_per_core[rec.core] = idx + 1
-        steps.append(StepMetrics(
-            rec.core, idx, rec.scheduled_ns, rec.actual_ns, rec.qices,
-            rec.cycles_quantum, rec.cycles_classical, rec.cycles_stall,
-            rec.cycles_feedback, ces, tr))
-        per_core_trs.setdefault(rec.core, []).append(tr)
+    # CES and TR as `StepRecord.ces` and `tr_of_step` give them, inline:
+    # two calls per step cost more than the arithmetic
+    for (core, _block, sched, actual, qices, cq, cc, cs, cf,
+         _violation, _injected) in trace.steps:
+        ces = cq + cc + cs + cf
+        tr = clock * ces / gate
+        trs = per_core_trs.get(core)
+        if trs is None:
+            trs = per_core_trs[core] = []
+        append(StepMetrics(core, len(trs), sched, actual, qices,
+                           cq, cc, cs, cf, ces, tr))
+        trs.append(tr)
         if tr > max_tr:
             max_tr = tr
     if per_core_trs:

@@ -9,6 +9,7 @@ plus acquisition latency. Gate durations only matter for occupancy tracking
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "SplitMix64", "QpuConfig", "IssueEvent", "Collision", "QpuState",
@@ -80,8 +81,7 @@ class QpuConfig:
         return self.single_gate_ns
 
 
-@dataclass(frozen=True)
-class IssueEvent:
+class IssueEvent(NamedTuple):
     """Ground truth for one operation delivered to the device."""
 
     time_ns: int           # actual issue time

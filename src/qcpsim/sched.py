@@ -8,8 +8,8 @@ an already-prefetched cache path costs a short switch instead of a refetch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 from .blocks import BlockInfoTable, DIRECT, deps_satisfied
 
@@ -36,8 +36,7 @@ _LEGAL_TRANSITIONS = {
 }
 
 
-@dataclass(frozen=True)
-class SchedulerEvent:
+class SchedulerEvent(NamedTuple):
     cycle: int
     action: str          # preload | alloc | prefetch | switch | start | done
     block: int
@@ -168,6 +167,10 @@ class Scheduler:
                     break
 
         if now < self.busy_until or self.transfer is not None:
+            # nothing this tick reads can change before the transfer lands or
+            # a core starts or finishes a block, and each of those sets
+            # `dirty` again; until then the engine need not call tick
+            self.dirty = False
             return
 
         # one cold allocation, else one prefetch start, per non-busy tick

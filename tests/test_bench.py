@@ -1,11 +1,13 @@
 """Benchmark generators, the experiment runner, and the command line."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import qcpsim
 from qcpsim.bench import (BENCHMARKS, ExperimentSpec, compare_runs,
                           gen_active_reset_plus_rb, gen_dense, gen_feedforward,
                           gen_parallel_rus, gen_steane_syndrome, ideal_speedup,
@@ -170,8 +172,14 @@ def test_collision_free_benchmarks_default_config():
 # ── command line ────────────────────────────────────────────────────
 
 def _cli(*args):
+    # the child imports qcpsim from where this process did, whether that is
+    # an install or a source tree on pytest's own path
+    src = os.path.dirname(os.path.dirname(qcpsim.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
     return subprocess.run([sys.executable, "-m", "qcpsim.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
 
 
 def test_cli_assemble_run_roundtrip(tmp_path):

@@ -52,6 +52,15 @@ def test_build_table_single_block_no_deps():
     assert len(t) == 1 and t.entries[0].dep_mask == 0
 
 
+def test_build_table_implicit_main_block():
+    # a program without block directives is one block over every instruction
+    t = build_table(parse_program("0 H q0\n1 H q0\n2 H q0\n"))
+    assert t.representation == DIRECT
+    assert [(e.name, e.pc_start, e.pc_end, e.dep_mask) for e in t.entries] \
+        == [("main", 0, 2, 0)]
+    assert len(build_table(parse_program(".qubits 1\n"))) == 0
+
+
 def test_build_table_unresolved_dep():
     with pytest.raises(TableError):
         build_table(_program([".block a start=0 end=9 deps=ghost"]))

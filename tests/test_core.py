@@ -1,8 +1,12 @@
 """Processor behavior: dispatch, timing control, branches, fast context switch."""
 
+import gc
+import weakref
+
 import pytest
 
-from qcpsim.bench import gen_active_reset_plus_rb, gen_dense, gen_feedforward
+from qcpsim.bench import (gen_active_reset_plus_rb, gen_dense, gen_feedforward,
+                          gen_parallel_rus)
 from qcpsim.config import MachineConfig
 from qcpsim.engine import Engine, RuntimeFault
 from qcpsim.isa import parse_program
@@ -308,3 +312,26 @@ def test_shared_registers_visible_across_cores():
     for cores in (1, 2):
         trace = run(p, cores=cores)
         assert any(e.gate == "X" for e in trace.events), cores
+
+
+def test_finished_engine_freed_by_reference_counting():
+    # with the cyclic collector off, only reference counting can free an
+    # engine: no core may keep a reference back to it once the run is over
+    hang = parse_program("FMR r1, r0\n0 MEAS q0 -> r0\n")
+    gc.disable()
+    try:
+        engine = Engine(gen_parallel_rus(2), MachineConfig(cores=2))
+        trace = engine.run()
+        ref = weakref.ref(engine)
+        del engine
+        assert ref() is None
+        assert trace.issue_count > 0
+
+        engine = Engine(hang, MachineConfig(deadlock_timeout_cycles=50))
+        with pytest.raises(RuntimeFault):
+            engine.run()
+        ref = weakref.ref(engine)
+        del engine
+        assert ref() is None
+    finally:
+        gc.enable()

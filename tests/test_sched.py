@@ -46,6 +46,19 @@ def test_independent_blocks_allocate_to_both_cores():
     assert allocs[1] == (1, 1)
 
 
+def test_tick_during_transfer_clears_dirty():
+    # while a cold allocation is in flight nothing a tick reads can change
+    # until it lands, so the tick clears `dirty`
+    engine = Engine(_four_block_program(), MachineConfig(cores=2,
+                                                         prefetch=False))
+    sched = engine.scheduler
+    sched.tick(0)
+    assert sched.transfer is not None and sched.dirty
+    sched.tick(1)
+    assert not sched.dirty
+    assert [e.action for e in sched.events] == ["alloc"]
+
+
 def test_empty_table_no_actions():
     p = parse_program(".qubits 1\n")
     trace = _run(p, cores=2)

@@ -6,13 +6,15 @@ import pytest
 
 import qcpsim
 from qcpsim import cli, isa
-from qcpsim.bench import ExperimentSpec, gen_parallel_rus, sweep_cores
+from qcpsim.bench import (ExperimentSpec, gen_dense, gen_parallel_rus,
+                          sweep_cores)
 from qcpsim.blocks import build_table
 from qcpsim.config import MachineConfig
-from qcpsim.engine import Engine
-from qcpsim.isa import (MAX_BLOCKS, ClassicalOp, Gate, Instruction, Kind,
-                        Program, decode_program, encode_program, parse_program,
-                        validate_program)
+from qcpsim.engine import Engine, PreparedProgram, ValidationFault
+from qcpsim.isa import (MAX_BLOCKS, ClassicalOp, Diagnostic, Gate, Instruction,
+                        Kind, Program, decode_program, encode_program,
+                        parse_program, validate_program)
+from qcpsim.qpu import QpuConfig
 
 
 def _diags(text, budget=None, binary=False):
@@ -267,3 +269,15 @@ def test_cli_run_reports_every_diagnostic(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: line 2: qubit q3 out of range (2)\n"
         "error: line 3: result register r5 never produced\n")
+
+
+def test_machine_too_small_is_a_diagnostic():
+    # a program prepared without a budget, run on a machine with fewer qubits
+    prepared = PreparedProgram(gen_dense(4, 2))
+    with pytest.raises(ValidationFault) as info:
+        Engine(prepared, MachineConfig(qpu=QpuConfig(qubit_count=2)))
+    [d] = info.value.diagnostics
+    assert isinstance(d, Diagnostic)
+    assert d.where == "machine"
+    assert d.message == "program uses 4 qubits, machine has 2"
+    assert str(info.value) == "machine: program uses 4 qubits, machine has 2"
