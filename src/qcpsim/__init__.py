@@ -8,10 +8,9 @@ device model, and the step/cycle metrics used to judge whether the control
 side keeps up with the device.
 """
 
-from .blocks import (BlockInfoEntry, BlockInfoTable, advance_priority_counter,
-                     build_table, deps_satisfied, level_assignment,
-                     pack_priority_entry, to_direct_table, to_priority_table,
-                     unpack_priority_entry)
+from .blocks import (BlockInfoEntry, BlockInfoTable, build_table,
+                     deps_satisfied, level_assignment, pack_priority_entry,
+                     to_direct_table, to_priority_table, unpack_priority_entry)
 from .bench import (Benchmark, BENCHMARKS, ExperimentSpec, compare_runs,
                     gen_active_reset_plus_rb, gen_dense, gen_feedforward,
                     gen_parallel_rus, gen_steane_syndrome, ideal_speedup,

@@ -15,7 +15,7 @@ from .isa import MAX_BLOCKS, Program, _effective_blocks
 
 __all__ = [
     "DIRECT", "PRIORITY", "BlockInfoEntry", "BlockInfoTable", "TableError",
-    "build_table", "deps_satisfied", "advance_priority_counter",
+    "build_table", "deps_satisfied",
     "pack_priority_entry", "unpack_priority_entry", "level_assignment",
     "to_priority_table",
 ]
@@ -100,24 +100,6 @@ def deps_satisfied(table: BlockInfoTable, done_mask: int, counter: int,
     if table.representation == DIRECT:
         return (entry.dep_mask & ~done_mask) == 0
     return entry.priority == counter
-
-
-def advance_priority_counter(table: BlockInfoTable, done_mask: int,
-                             counter: int) -> int:
-    """Increment the counter by one when every block at its level is done.
-
-    Returns the (possibly unchanged) counter. Callers advance to a fixpoint
-    by re-invoking until the value stops moving; past the last level the
-    counter is stable.
-    """
-    if table.representation != PRIORITY:
-        return counter
-    if counter > table.max_priority:
-        return counter
-    for e in table.entries:
-        if e.priority == counter and not (done_mask >> e.block_id) & 1:
-            return counter
-    return counter + 1
 
 
 def pack_priority_entry(entry: BlockInfoEntry) -> int:

@@ -211,8 +211,15 @@ class Core:
 
     # ── block lifecycle ────────────────────────────────────────────
 
+    def _check_idle(self, block: int) -> None:
+        # a block handed to a busy core would overwrite the one it holds
+        if self.executing is not None or self.switch_until is not None:
+            raise SimulatorBug(
+                f"block {block} assigned to busy core {self.core_id}")
+
     def begin_switch(self, block: int, slot: int, start_cycle: int,
                      pc_start: int, pc_end: int) -> None:
+        self._check_idle(block)
         self.switch_until = start_cycle
         self._switch_args = (block, slot, start_cycle, pc_start, pc_end)
         self.next_call = 0
@@ -220,8 +227,7 @@ class Core:
 
     def start_block(self, block: int, slot: int, start_cycle: int,
                     pc_start: int, pc_end: int) -> None:
-        self.switch_until = None
-        self._switch_args = None
+        self._check_idle(block)
         self.next_call = 0
         self.engine.activate(self)
         self.executing = block
@@ -254,7 +260,9 @@ class Core:
         or None for "call again at cycle + 1"."""
         if self.switch_until is not None:
             if cycle >= self.switch_until:
-                self.start_block(*self._switch_args)
+                args = self._switch_args
+                self.switch_until = self._switch_args = None
+                self.start_block(*args)
             else:
                 return self.switch_until
         if self.executing is None:
@@ -398,97 +406,58 @@ class Core:
         pending = self.pending
         width = self.width
         items = self.engine.items
-        if not self.stream_ended and len(pending) < width:
-            end = self.pc_end + 1
-            pc = self.pc
-            n = end - pc
-            if n > width:
-                n = width
-            pending.extend(items[pc:pc + n])
-            self.pc = pc + n
-            if self.pc >= end:
-                self.stream_ended = True
+        end = self.pc_end + 1
+        # straight-line quantum work has no data dependences on this cycle's
+        # classical state; batch it through in one pass, one group per cycle.
+        # Dispatch cannot open a context or mark the scoreboard, so whether
+        # the batch may run is decided once.
+        batch = not self.mrce_contexts and not self.scoreboard
+        used = 0
+        while True:
+            if not self.stream_ended and len(pending) < width:
+                pc = self.pc
+                n = end - pc
+                if n > width:
+                    n = width
+                pending.extend(items[pc:pc + n])
+                self.pc = pc + n
+                if self.pc >= end:
+                    self.stream_ended = True
+            if not (batch and pending and pending[0][0] == K_QUANTUM):
+                break
+            head = pending[0]
+            glen = len(pending)
+            if glen > width:
+                glen = width
+            for i in range(1, glen):
+                nxt = pending[i]
+                if nxt[0] != K_QUANTUM or nxt[1] != 0:
+                    glen = i
+                    break
+            entry = self.open_entry
+            if glen == 1 and head[1] == 0 and entry is not None \
+                    and entry.closed_cycle < 0 \
+                    and not (self.pot_c or self.pot_s or self.pot_f):
+                # label-0 follower joins the open timing point directly
+                del pending[0]
+                entry.ops.append((head[2], head[3], head[4], head[5]))
+                if head[4] >= 0:
+                    self.engine.result_file[head[4]][0] = R_PENDING
+                entry.last_cycle = cycle + used
+                entry.q_cycles += 1
+                self.attributed += 1
+            else:
+                group = pending[:glen]
+                del pending[:glen]
+                self._dispatch_group(group, cycle + used)
+            used += 1
+        if used:
+            return used - 1
 
         if not pending:
             self.drain_cycles += 1
             self.attributed += 1
             return 0
-
-        # straight-line quantum work has no data dependences on this cycle's
-        # classical state; batch it through in one pass, one group per cycle
-        if (pending[0][0] == K_QUANTUM and not self.mrce_contexts
-                and not self.scoreboard):
-            used = 0
-            end = self.pc_end + 1
-            rf = self.engine.result_file
-            while pending and pending[0][0] == K_QUANTUM:
-                head = pending[0]
-                glen = len(pending)
-                if glen > width:
-                    glen = width
-                for i in range(1, glen):
-                    nxt = pending[i]
-                    if nxt[0] != K_QUANTUM or nxt[1] != 0:
-                        glen = i
-                        break
-                entry = self.open_entry
-                if glen == 1 and head[1] == 0 and entry is not None \
-                        and entry.closed_cycle < 0 \
-                        and not (self.pot_c or self.pot_s or self.pot_f):
-                    # label-0 follower joins the open timing point directly
-                    del pending[0]
-                    entry.ops.append((head[2], head[3], head[4], head[5]))
-                    if head[4] >= 0:
-                        rf[head[4]][0] = R_PENDING
-                    entry.last_cycle = cycle + used
-                    entry.q_cycles += 1
-                    self.attributed += 1
-                else:
-                    group = pending[:glen]
-                    del pending[:glen]
-                    self._dispatch_group(group, cycle + used)
-                used += 1
-                if not self.stream_ended and len(pending) < width:
-                    pc = self.pc
-                    n = end - pc
-                    if n > width:
-                        n = width
-                    pending.extend(items[pc:pc + n])
-                    self.pc = pc + n
-                    if self.pc >= end:
-                        self.stream_ended = True
-            return used - 1
-
-        if pending[0][0] == K_CLASSICAL and pending[0][1] <= _OP_CMP and (
-                len(pending) == 1 or pending[1][0] == K_CLASSICAL):
-            entry = self.open_entry
-            if entry is not None and entry.closed_cycle < 0:
-                entry.closed_cycle = cycle
-                self.next_pop_ns = 0
-            used = 0
-            fb = self.fb_mode
-            end = self.pc_end + 1
-            while (pending and pending[0][0] == K_CLASSICAL
-                   and pending[0][1] <= _OP_CMP
-                   and (len(pending) == 1 or pending[1][0] == K_CLASSICAL)):
-                self._execute_classical_op(pending[0], cycle + used, now_ns)
-                del pending[0]
-                used += 1
-                if not self.stream_ended and len(pending) < width:
-                    pc = self.pc
-                    n = end - pc
-                    if n > width:
-                        n = width
-                    pending.extend(items[pc:pc + n])
-                    self.pc = pc + n
-                    if self.pc >= end:
-                        self.stream_ended = True
-            self.attributed += used
-            if fb:
-                self.pot_f += used
-            else:
-                self.pot_c += used
-            return used - 1
 
         cl_idx, barrier = self._pick_classical(pending, now_ns)
 
@@ -683,50 +652,28 @@ class Core:
                 self.open_entry.closed_cycle = cycle
                 self.next_pop_ns = 0
             return False, True
-        regs = self.regs
-        private = (item[2] < SHARED_REG_BASE and item[3] < SHARED_REG_BASE
-                   and item[4] < SHARED_REG_BASE)
-        if op == _OP_LDI:
-            if item[2] < SHARED_REG_BASE:
-                regs[item[2]] = item[5]
+        if op <= _OP_CMP:
+            regs = self.regs
+            ra, rb = item[3], item[4]
+            a = regs[ra] if ra < SHARED_REG_BASE else self._read_reg(ra)
+            b = regs[rb] if rb < SHARED_REG_BASE else self._read_reg(rb)
+            if op == _OP_CMP:
+                self.flag_eq = a == b
+                self.flag_lt = a < b
+                return False, False
+            if op == _OP_LDI:
+                value = item[5]
+            elif op == _OP_MOV:
+                value = a
+            elif op == _OP_ADD:
+                value = a + b
+            elif op == _OP_SUB:
+                value = a - b
+            elif op == _OP_AND:
+                value = a & b
             else:
-                self._write_reg(item[2], item[5])
-        elif op == _OP_MOV:
-            if private:
-                regs[item[2]] = regs[item[3]]
-            else:
-                self._write_reg(item[2], self._read_reg(item[3]))
-        elif op == _OP_ADD:
-            if private:
-                regs[item[2]] = regs[item[3]] + regs[item[4]]
-            else:
-                self._write_reg(item[2],
-                                self._read_reg(item[3]) + self._read_reg(item[4]))
-        elif op == _OP_SUB:
-            if private:
-                regs[item[2]] = regs[item[3]] - regs[item[4]]
-            else:
-                self._write_reg(item[2],
-                                self._read_reg(item[3]) - self._read_reg(item[4]))
-        elif op == _OP_AND:
-            if private:
-                regs[item[2]] = regs[item[3]] & regs[item[4]]
-            else:
-                self._write_reg(item[2],
-                                self._read_reg(item[3]) & self._read_reg(item[4]))
-        elif op == _OP_OR:
-            if private:
-                regs[item[2]] = regs[item[3]] | regs[item[4]]
-            else:
-                self._write_reg(item[2],
-                                self._read_reg(item[3]) | self._read_reg(item[4]))
-        elif op == _OP_CMP:
-            if item[3] < SHARED_REG_BASE and item[4] < SHARED_REG_BASE:
-                a, b = regs[item[3]], regs[item[4]]
-            else:
-                a, b = self._read_reg(item[3]), self._read_reg(item[4])
-            self.flag_eq = a == b
-            self.flag_lt = a < b
+                value = a | b
+            self._write_reg(item[2], value)
         elif op == _OP_BR:
             if self._branch_condition(item[6]):
                 self._redirect(item[7])
@@ -903,11 +850,6 @@ class Core:
 
     def _finish_block(self, cycle: int) -> None:
         span = cycle - self.exec_start_cycle + 1
-        if self.pot_c or self.pot_s or self.pot_f:
-            self.engine.block_overhead.append(
-                (self.executing, self.core_id,
-                 self.pot_c, self.pot_s, self.pot_f))
-            self.pot_c = self.pot_s = self.pot_f = 0
         if self.attributed != span:
             raise SimulatorBug(
                 f"cycle attribution gap on core {self.core_id} block "

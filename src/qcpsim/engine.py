@@ -50,7 +50,6 @@ class RunTrace:
     collisions: list[Collision] = field(default_factory=list)
     scheduler_events: list[SchedulerEvent] = field(default_factory=list)
     block_spans: list[tuple[int, int, int, int]] = field(default_factory=list)
-    block_overhead: list[tuple] = field(default_factory=list)
     context_switches: list[int] = field(default_factory=list)
     context_drained_blocks: list[tuple[int, int]] = field(default_factory=list)
     cycle_records: list[tuple] = field(default_factory=list)
@@ -121,7 +120,6 @@ class Engine:
             [] if config.collect_cycle_trace else None)
         self.steps: list[StepRecord] = []
         self.violations: list[tuple[int, int, int]] = []
-        self.block_overhead: list[tuple] = []
         self.context_switches: list[int] = []
         self.context_drained_blocks: list[tuple[int, int]] = []
         self.result_wait_total = 0
@@ -236,7 +234,6 @@ class Engine:
         trace.collisions = self.qpu.collisions
         trace.scheduler_events = sched.events
         trace.block_spans = sched.block_spans
-        trace.block_overhead = self.block_overhead
         trace.context_switches = self.context_switches
         trace.context_drained_blocks = self.context_drained_blocks
         trace.result_wait_cycles = self.result_wait_total

@@ -740,11 +740,14 @@ def validate_program(p: Program, qubit_budget: int | None = None) -> list[Diagno
                                   "block range exceeds program length"))
             continue
         spans.append((d.pc_start, d.pc_end, d))
-    # stable on equal ranges: the later declaration is the one reported
+    # every block that starts inside an earlier one is reported; stable on
+    # equal ranges, so the later declaration is the one reported
     spans.sort(key=lambda span: (span[0], span[1]))
-    for (_s1, e1, _), (s2, _e2, d2) in zip(spans, spans[1:]):
-        if s2 <= e1:
-            out.append(Diagnostic(_block_where(d2), "block ranges overlap"))
+    reach = -1      # last pc covered by the spans swept so far
+    for s, e, d in spans:
+        if s <= reach:
+            out.append(Diagnostic(_block_where(d), "block ranges overlap"))
+        reach = max(reach, e)
     next_pc = 0     # first pc not covered by the spans swept so far
     for s, e, _ in spans:
         if s > next_pc:

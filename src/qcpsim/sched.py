@@ -148,9 +148,13 @@ class Scheduler:
         if not self.dirty:
             return
 
-        # activate prefetched blocks whose dependencies cleared
+        # activate prefetched blocks whose dependencies cleared; a core that
+        # a cold allocation is loading is already taken
+        alloc_core = (self.transfer[2] if self.transfer is not None
+                      and self.transfer[0] == "alloc" else None)
         for core in self.cores:
-            if core.executing is not None or core.switch_until is not None:
+            if (core.executing is not None or core.switch_until is not None
+                    or core.core_id == alloc_core):
                 continue
             for slot in (0, 1):
                 b = core.slots[slot]

@@ -6,11 +6,11 @@ import pytest
 
 from qcpsim.blocks import (
     DIRECT, PRIORITY, BlockInfoEntry, BlockInfoTable, TableError,
-    advance_priority_counter, build_table, deps_satisfied, level_assignment,
-    pack_priority_entry, to_direct_table, to_priority_table,
-    unpack_priority_entry,
+    build_table, deps_satisfied, level_assignment, pack_priority_entry,
+    to_direct_table, to_priority_table, unpack_priority_entry,
 )
 from qcpsim.isa import MAX_BLOCKS, parse_program
+from qcpsim.sched import BlockStatus, Scheduler
 
 
 def _program(block_lines):
@@ -132,24 +132,42 @@ def _priority_table(prios):
     return BlockInfoTable(entries, PRIORITY)
 
 
+class _StubCore:
+    """Just enough of a core for `Scheduler.notify_done`."""
+
+    core_id = 0
+
+    def __init__(self):
+        self.slots = [None, None]
+        self.slot_loaded = [False, False]
+
+
+def _scheduler(table):
+    return Scheduler(table, [_StubCore()], sched_response=4,
+                     fetch_bandwidth=4, t_switch=2, prefetch=False)
+
+
+def _finish(sched, b):
+    """Complete block b as a core does; returns the priority counter."""
+    core = sched.cores[0]
+    sched._set_status(b, BlockStatus.IN_EXECUTION)
+    core.slots = [b, None]
+    sched.notify_done(b, core, 0)
+    return sched.priority_counter
+
+
 def test_advance_counter_example():
-    t = _priority_table([0, 0, 1, 2])
-    done = 0b0011  # both priority-0 blocks finished
-    assert advance_priority_counter(t, done, 0) == 1
-    assert advance_priority_counter(t, done, 1) == 1  # W3 still pending
+    sched = _scheduler(_priority_table([0, 0, 1, 2]))
+    assert _finish(sched, 0) == 0     # the other priority-0 block is pending
+    assert _finish(sched, 1) == 1     # both done; W3 still pending at 1
 
 
 def test_advance_counter_terminal():
     t = _priority_table([0, 0, 1, 2])
-    done = 0b1111
-    c = 0
-    while True:
-        nxt = advance_priority_counter(t, done, c)
-        if nxt == c:
-            break
-        c = nxt
-    assert c == t.max_priority + 1
-    assert advance_priority_counter(t, done, c) == c  # stable thereafter
+    sched = _scheduler(t)
+    for b in range(4):
+        counter = _finish(sched, b)
+    assert counter == t.max_priority + 1
 
 
 def test_counter_trace_matches_min_pending_oracle():
@@ -161,21 +179,16 @@ def test_counter_trace_matches_min_pending_oracle():
         levels = sorted(set(prios))
         remap = {p: i for i, p in enumerate(levels)}
         prios = [remap[p] for p in prios]
-        t = _priority_table(prios)
+        sched = _scheduler(_priority_table(prios))
         # an execution order legal under the counter semantics
-        done = 0
-        counter = 0
+        counter = sched.priority_counter
+        assert counter == 0
         remaining = set(range(n))
         while remaining:
             eligible = [b for b in remaining if prios[b] == counter]
             b = rng.choice(eligible)
             remaining.discard(b)
-            done |= 1 << b
-            while True:
-                nxt = advance_priority_counter(t, done, counter)
-                if nxt == counter:
-                    break
-                counter = nxt
+            counter = _finish(sched, b)
             expected = min((prios[b] for b in remaining), default=max(prios) + 1)
             assert counter == expected
 
@@ -210,13 +223,12 @@ def test_priority_direct_equivalent_order_sets():
         direct_orders = orders(lambda done, b: deps_satisfied(table, done, 0, b))
 
         def prio_ready(done, b):
-            counter = 0
-            while True:
-                nxt = advance_priority_counter(ptable, done, counter)
-                if nxt == counter:
-                    break
-                counter = nxt
-            return deps_satisfied(ptable, done, counter, b)
+            # the counter depends only on which blocks are done
+            sched = _scheduler(ptable)
+            for d in range(n):
+                if (done >> d) & 1:
+                    _finish(sched, d)
+            return sched.ready(b)
 
         prio_orders = orders(prio_ready)
         # priority levels are a coarsening: every priority-legal order is

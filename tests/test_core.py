@@ -1,13 +1,15 @@
 """Processor behavior: dispatch, timing control, branches, fast context switch."""
 
 import gc
+import json
 import weakref
 
 import pytest
 
 from qcpsim.bench import (gen_active_reset_plus_rb, gen_dense, gen_feedforward,
-                          gen_parallel_rus)
+                          gen_parallel_rus, gen_steane_syndrome)
 from qcpsim.config import MachineConfig
+from qcpsim.core import Core
 from qcpsim.engine import Engine, RuntimeFault
 from qcpsim.isa import parse_program
 from qcpsim.metrics import build_report
@@ -312,6 +314,69 @@ def test_shared_registers_visible_across_cores():
     for cores in (1, 2):
         trace = run(p, cores=cores)
         assert any(e.gate == "X" for e in trace.events), cores
+
+
+def _shared_register_race(pa, pb):
+    # block A (core 0) reads r24 after pa filler ops and skips its X when it
+    # sees 1; block B (core 1) writes 1 to r24 after pb filler ops
+    a = ["LDI r1, 0"] * pa + ["MOV r2, r24", "LDI r3, 1", "CMP r2, r3",
+                              "BR.eq skipA", "0 X q0", "skipA:", "END"]
+    b = ["LDI r1, 0"] * pb + ["LDI r24, 1", "END"]
+    a_len = len(a) - 1           # the label line holds no instruction
+    return parse_program("\n".join(
+        [".qubits 1"] + a + b
+        + [f".block A start=0 end={a_len - 1} deps=none",
+           f".block B start={a_len} end={a_len + len(b) - 1} deps=none"]))
+
+
+def test_shared_register_read_sees_earlier_cycles_only():
+    # one classical instruction retires per core per cycle and cores step
+    # in id order, so A's read (cycle pa) misses B's write (cycle pb)
+    # exactly when pa <= pb
+    wrong = []
+    for pa in range(8):
+        for pb in range(8):
+            trace = run(_shared_register_race(pa, pb), cores=2)
+            fired = any(e.gate == "X" for e in trace.events)
+            if fired != (pa <= pb):
+                wrong.append((pa, pb))
+    assert wrong == []
+
+
+def _canonical(trace):
+    report = build_report(trace).to_dict()
+    report["steps"] = sorted(report["steps"], key=lambda s: (
+        s["core"], s["scheduled_ns"], s["step"]))
+    report["violations"] = sorted(report["violations"])
+    report["context_switches"] = sorted(report["context_switches"])
+    return (json.dumps(report, sort_keys=True), sorted(trace.events),
+            trace.total_cycles)
+
+
+def test_event_skipping_matches_wake_every_cycle(monkeypatch):
+    # the engine jumps over the cycles a core says it will sleep through;
+    # waking every core on every cycle must not change any output. A wake
+    # is still honoured when the core already ran the cycles before it.
+    programs = [gen_steane_syndrome(), gen_parallel_rus(4),
+                gen_active_reset_plus_rb(30), gen_feedforward(),
+                gen_dense(8, 20)]
+    configs = [(p, MachineConfig(cores=cores, superscalar_width=width,
+                                 seed=seed))
+               for p in programs for width in (1, 4, 8)
+               for cores in (1, 2, 6) for seed in (1, 2, 3)]
+    for _, cfg in configs:
+        cfg.qpu.outcome_bias = 0.3
+    skipping = [_canonical(Engine(p, cfg).run()) for p, cfg in configs]
+
+    run_cycle = Core.run_cycle
+
+    def every_cycle(core, cycle):
+        wake = run_cycle(core, cycle)
+        return wake if core.last_seen > cycle else None
+
+    monkeypatch.setattr(Core, "run_cycle", every_cycle)
+    for (p, cfg), expected in zip(configs, skipping):
+        assert _canonical(Engine(p, cfg).run()) == expected, cfg
 
 
 def test_finished_engine_freed_by_reference_counting():

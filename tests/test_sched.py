@@ -213,3 +213,45 @@ def test_switch_costs_t_switch_cycles():
     for e in trace.scheduler_events:
         if e.action == "switch":
             assert starts[e.block] == e.cycle + cfg.t_switch
+
+
+def test_alloc_target_is_not_switched_onto_another_block():
+    # b2 is cold-allocated to core 1 at cycle 0; b1 (prefetched on core 1)
+    # becomes ready while that transfer is in flight. Core 1 must not be
+    # switched onto b1, or the landing b2 would overwrite it and b1 would
+    # never finish
+    body = ["0 H q0"] + ["2 H q0"] * 15
+    src = "\n".join([".qubits 2", "0 H q0", "END", "0 H q1", "END"] + body
+                    + ["END",
+                       ".block b0 start=0 end=1 deps=none",
+                       ".block b1 start=2 end=3 deps=b0",
+                       ".block b2 start=4 end=20 deps=none"])
+    trace = _run(parse_program(src), cores=2)
+    ev = [(e.cycle, e.action, e.block, e.core) for e in trace.scheduler_events]
+    assert (0, "alloc", 2, 1) in ev
+    assert (9, "start", 2, 1) in ev
+    assert sorted(b for _c, a, b, _k in ev if a == "done") == [0, 1, 2]
+    done2 = next(c for c, a, b, _k in ev if a == "done" and b == 2)
+    switch1 = next(c for c, a, b, _k in ev if a == "switch" and b == 1)
+    assert switch1 > done2
+    assert trace.total_cycles == 47
+
+
+def test_busy_core_cannot_take_a_block():
+    engine = Engine(_four_block_program(), MachineConfig(cores=1))
+    core = engine.cores[0]
+    core.start_block(0, 0, 0, 0, 4)
+    with pytest.raises(SimulatorBug):
+        core.start_block(1, 1, 0, 5, 9)
+    with pytest.raises(SimulatorBug):
+        core.begin_switch(1, 1, 2, 5, 9)
+
+    engine = Engine(_four_block_program(), MachineConfig(cores=1))
+    core = engine.cores[0]
+    core.begin_switch(0, 0, 2, 0, 4)
+    with pytest.raises(SimulatorBug):
+        core.start_block(1, 1, 0, 5, 9)
+    with pytest.raises(SimulatorBug):
+        core.begin_switch(1, 1, 2, 5, 9)
+    core.run_cycle(2)           # the refused requests left the switch intact
+    assert core.executing == 0

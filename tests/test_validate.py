@@ -80,12 +80,13 @@ PINNED = {
     "overlap": ("0 H q0\n0 H q0\n0 H q0\n.block a start=0 end=1 deps=none\n"
                 ".block b start=1 end=2 deps=none\n", None, False, [
         "line 5: block ranges overlap"]),
-    # only neighbours in start order are compared: s2 is not reported
+    # s2 overlaps big, not its neighbour s1: both small blocks are reported
     "overlap_neighbours": ("0 H q0\n" * 5
                            + ".block big start=0 end=4 deps=none\n"
                            ".block s1 start=1 end=1 deps=none\n"
                            ".block s2 start=3 end=3 deps=none\n", None, False, [
-        "line 7: block ranges overlap"]),
+        "line 7: block ranges overlap",
+        "line 8: block ranges overlap"]),
     "first_uncovered": ("0 H q0\n" * 5 + ".block a start=0 end=0 deps=none\n"
                         ".block b start=3 end=4 deps=none\n", None, False, [
         "pc 1: instruction not covered by any block"]),
