@@ -459,8 +459,21 @@ class Core:
             self.attributed += 1
             return 0
 
-        cl_idx, barrier = self._pick_classical(pending, now_ns)
+        kind = pending[0][0]
+        if kind == K_CLASSICAL or kind == K_END:
+            # a classical head always dispatches: `_pick_classical` gives
+            # (0, 0) for it, and only an MRCE head can be held back
+            if len(pending) == 1 or pending[1][0] != K_QUANTUM:
+                return self._dispatch_classical_alone(cycle, now_ns)
+            return self._dispatch_picked(0, 0, cycle, now_ns)
+        return self._dispatch_picked(*self._pick_classical(pending, now_ns),
+                                     cycle, now_ns)
 
+    def _dispatch_picked(self, cl_idx: int, barrier: int, cycle: int,
+                         now_ns: int) -> int:
+        """The rest of `_dispatch` once `_pick_classical` has chosen."""
+        pending = self.pending
+        width = self.width
         branch_taken = False
         stalled = False
         cut = len(pending)
@@ -557,6 +570,35 @@ class Core:
                     and self.open_entry.closed_cycle < 0):
                 self.open_entry.closed_cycle = cycle
                 self.next_pop_ns = 0
+        return 0
+
+    def _dispatch_classical_alone(self, cycle: int, now_ns: int) -> int:
+        """`_dispatch_picked(0, 0, ...)` for a classical head with no
+        quantum follower: the cycle is the classical instruction's alone."""
+        pending = self.pending
+        item = pending[0]
+        if item[0] == K_END:
+            self.stream_ended = True
+            pending.clear()
+        else:
+            branch_taken, stalled = self._execute_classical_op(
+                item, cycle, now_ns)
+            if stalled:
+                del pending[0]
+                return 0
+            if branch_taken:
+                pending.clear()
+            else:
+                del pending[0]
+        entry = self.open_entry
+        if entry is not None and entry.closed_cycle < 0:
+            entry.closed_cycle = cycle
+            self.next_pop_ns = 0
+        self.attributed += 1
+        if self.fb_mode:
+            self.pot_f += 1
+        else:
+            self.pot_c += 1
         return 0
 
     def _pick_classical(self, pending: list, now_ns: int) -> tuple[int, int]:

@@ -632,9 +632,10 @@ def encode_program(p: Program) -> bytes:
         blocks.append(entry)
     header = json.dumps({"qubits": p.qubit_count, "blocks": blocks},
                         sort_keys=True).encode("utf-8")
-    words = b"".join(struct.pack("<I", encode_instruction(i)) for i in p.instructions)
+    n = len(p.instructions)
+    words = struct.pack(f"<{n}I", *map(encode_instruction, p.instructions))
     return (BINARY_MAGIC + struct.pack("<I", len(header)) + header
-            + struct.pack("<I", len(p.instructions)) + words)
+            + struct.pack("<I", n) + words)
 
 
 def decode_program(data: bytes) -> Program:

@@ -12,8 +12,8 @@ processor kept up.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -70,6 +70,13 @@ class RunReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
+        out = self._summary()
+        out["violations"] = [list(v) for v in self.violations]
+        out["steps"] = [s.to_dict() for s in self.steps]
+        return out
+
+    def _summary(self) -> dict:
+        """`to_dict()` with empty `violations` and `steps` lists."""
         out = {
             "program_hash": self.program_hash,
             "config": self.config,
@@ -77,13 +84,13 @@ class RunReport:
             "max_tr": self.max_tr,
             "total_exec_ns": self.total_exec_ns,
             "total_cycles": self.total_cycles,
-            "violations": [list(v) for v in self.violations],
+            "violations": [],
             "collision_count": self.collision_count,
             "issue_count": self.issue_count,
             "context_switches": self.context_switches,
             "result_wait_cycles": self.result_wait_cycles,
             "drain_cycles": self.drain_cycles,
-            "steps": [s.to_dict() for s in self.steps],
+            "steps": [],
         }
         if self.speedup_vs_base is not None:
             out["speedup_vs_base"] = self.speedup_vs_base
@@ -92,7 +99,57 @@ class RunReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        """`json.dumps(self.to_dict(), sort_keys=True, indent=2)`, byte for
+        byte.
+
+        With `indent` set, `json` falls back to its pure-Python encoder, so
+        only the small summary goes through it; the step and violation lists
+        are rendered one template per record and put in place of the empty
+        lists at the summary's top level. Every step and violation field
+        must be a plain int or a finite float, as `build_report` makes them.
+        """
+        text = json.dumps(self._summary(), sort_keys=True, indent=2)
+        if self.steps:
+            text = _splice(text, "steps", [_STEP_JSON % _step_values(s)
+                                           for s in self.steps])
+        if self.violations:
+            text = _splice(text, "violations", [
+                _VIOLATION_JSON % (core, sched, actual)
+                for core, sched, actual in self.violations])
+        return text
+
+
+def _step_layout() -> tuple[str, operator.itemgetter]:
+    """One element of the report's "steps" list as `json.dumps(...,
+    sort_keys=True, indent=2)` lays it out at the top level, and a getter
+    for a `StepMetrics`' fields in that order. Both come from the key names
+    of `StepMetrics.to_dict`, so the two outputs cannot drift apart."""
+    key_to_field = StepMetrics._make(StepMetrics._fields).to_dict()
+    keys = sorted(key_to_field)
+    body = ",\n".join(f"      {json.dumps(k)}: %s" for k in keys)
+    index = [StepMetrics._fields.index(key_to_field[k]) for k in keys]
+    return "    {\n" + body + "\n    }", operator.itemgetter(*index)
+
+
+_STEP_JSON, _step_values = _step_layout()
+# one element of the report's "violations" list, laid out the same way
+_VIOLATION_JSON = """\
+    [
+      %s,
+      %s,
+      %s
+    ]"""
+
+
+def _splice(text: str, key: str, rows: list[str]) -> str:
+    """Fill the empty list at top-level `key` of an indent-2 JSON dump.
+
+    Two spaces of indent is the top level only: a key of the same name
+    inside `config` or `extras` sits deeper, and a JSON string holds no raw
+    newline.
+    """
+    return text.replace(f'\n  "{key}": []',
+                        f'\n  "{key}": [\n' + ",\n".join(rows) + "\n  ]", 1)
 
 
 def program_hash(p: Program) -> str:
@@ -177,20 +234,22 @@ def speedup(base: RunReport, variant: RunReport) -> float:
 
 
 def events_to_csv(events: list[IssueEvent]) -> str:
-    buf = io.StringIO()
-    buf.write("time_ns,gate,qubits,channel,duration_ns\n")
-    for e in events:
-        qubits = " ".join(f"q{q}" for q in e.qubits)
-        buf.write(f"{e.time_ns},{e.gate},{qubits},{e.channel},{e.duration_ns}\n")
-    return buf.getvalue()
+    rows = ["time_ns,gate,qubits,channel,duration_ns\n"]
+    append = rows.append
+    names: dict[tuple[int, ...], str] = {}
+    for time_ns, _sched, gate, qubits, channel, duration_ns, _core in events:
+        name = names.get(qubits)
+        if name is None:
+            name = names[qubits] = " ".join(f"q{q}" for q in qubits)
+        append(f"{time_ns},{gate},{name},{channel},{duration_ns}\n")
+    return "".join(rows)
 
 
 def steps_to_csv(report: RunReport) -> str:
-    buf = io.StringIO()
-    buf.write("core,step,qices,cycles_quantum,cycles_classical,"
-              "cycles_stall,cycles_feedback,ces,tr\n")
-    for s in report.steps:
-        buf.write(f"{s.core},{s.step_index},{s.qices},{s.cycles_quantum},"
-                  f"{s.cycles_classical},{s.cycles_stall},{s.cycles_feedback},"
-                  f"{s.ces},{s.tr}\n")
-    return buf.getvalue()
+    rows = ["core,step,qices,cycles_quantum,cycles_classical,"
+            "cycles_stall,cycles_feedback,ces,tr\n"]
+    append = rows.append
+    for (core, step, _sched, _actual, qices, cq, cc, cs, cf,
+         ces, tr) in report.steps:
+        append(f"{core},{step},{qices},{cq},{cc},{cs},{cf},{ces},{tr}\n")
+    return "".join(rows)

@@ -9,7 +9,7 @@ import pytest
 from qcpsim.bench import (gen_active_reset_plus_rb, gen_dense, gen_feedforward,
                           gen_parallel_rus, gen_steane_syndrome)
 from qcpsim.config import MachineConfig
-from qcpsim.core import Core
+from qcpsim.core import K_CLASSICAL, Core
 from qcpsim.engine import Engine, RuntimeFault
 from qcpsim.isa import parse_program
 from qcpsim.metrics import build_report
@@ -353,10 +353,7 @@ def _canonical(trace):
             trace.total_cycles)
 
 
-def test_event_skipping_matches_wake_every_cycle(monkeypatch):
-    # the engine jumps over the cycles a core says it will sleep through;
-    # waking every core on every cycle must not change any output. A wake
-    # is still honoured when the core already ran the cycles before it.
+def _differential_configs():
     programs = [gen_steane_syndrome(), gen_parallel_rus(4),
                 gen_active_reset_plus_rb(30), gen_feedforward(),
                 gen_dense(8, 20)]
@@ -366,6 +363,14 @@ def test_event_skipping_matches_wake_every_cycle(monkeypatch):
                for cores in (1, 2, 6) for seed in (1, 2, 3)]
     for _, cfg in configs:
         cfg.qpu.outcome_bias = 0.3
+    return configs
+
+
+def test_event_skipping_matches_wake_every_cycle(monkeypatch):
+    # the engine jumps over the cycles a core says it will sleep through;
+    # waking every core on every cycle must not change any output. A wake
+    # is still honoured when the core already ran the cycles before it.
+    configs = _differential_configs()
     skipping = [_canonical(Engine(p, cfg).run()) for p, cfg in configs]
 
     run_cycle = Core.run_cycle
@@ -377,6 +382,45 @@ def test_event_skipping_matches_wake_every_cycle(monkeypatch):
     monkeypatch.setattr(Core, "run_cycle", every_cycle)
     for (p, cfg), expected in zip(configs, skipping):
         assert _canonical(Engine(p, cfg).run()) == expected, cfg
+
+
+def _exact(trace):
+    return (build_report(trace).to_json(), trace.events, trace.steps,
+            repr(trace.scheduler_events), trace.total_cycles)
+
+
+def test_classical_alone_fast_path_matches_general_dispatch(monkeypatch):
+    # a classical head skips `_pick_classical`, and with no quantum follower
+    # also the group scan; routing it through them instead must change
+    # nothing, down to the order of every event and step
+    configs = _differential_configs()
+    alone_cycles, mixed_cycles = [], []
+    alone = Core._dispatch_classical_alone
+    picked = Core._dispatch_picked
+
+    def counted(core, cycle, now_ns):
+        alone_cycles.append(cycle)
+        return alone(core, cycle, now_ns)
+
+    def checked(core, cl_idx, barrier, cycle, now_ns):
+        assert core._pick_classical(core.pending, now_ns) == (cl_idx, barrier)
+        if cl_idx == 0 and core.pending[0][0] == K_CLASSICAL:
+            mixed_cycles.append(cycle)
+        return picked(core, cl_idx, barrier, cycle, now_ns)
+
+    monkeypatch.setattr(Core, "_dispatch_classical_alone", counted)
+    monkeypatch.setattr(Core, "_dispatch_picked", checked)
+    fast = [_exact(Engine(p, cfg).run()) for p, cfg in configs]
+    assert alone_cycles and mixed_cycles
+    monkeypatch.setattr(Core, "_dispatch_picked", picked)
+
+    def general(core, cycle, now_ns):
+        return core._dispatch_picked(
+            *core._pick_classical(core.pending, now_ns), cycle, now_ns)
+
+    monkeypatch.setattr(Core, "_dispatch_classical_alone", general)
+    for (p, cfg), expected in zip(configs, fast):
+        assert _exact(Engine(p, cfg).run()) == expected, cfg
 
 
 def test_finished_engine_freed_by_reference_counting():

@@ -38,13 +38,21 @@ for _seed in (1, 2, 3):
     CASES[f"reset200-seed{_seed}"] = (
         "reset200", MachineConfig(superscalar_width=4, seed=_seed,
                                   qpu=QpuConfig(outcome_bias=0.5)))
-for _width in (1, 8):
+for _width in (1, 4, 8):
     CASES[f"dense8x50-w{_width}"] = (
         "dense8x50", MachineConfig(superscalar_width=_width))
 for _cores in (1, 6):
     CASES[f"steane-c{_cores}"] = (
         "steane", MachineConfig(cores=_cores, seed=1,
                                 qpu=QpuConfig(outcome_bias=0.1)))
+# width 4 lets a classical instruction and quantum followers share a cycle;
+# width 1 never does
+CASES["steane-c2-w4"] = (
+    "steane", MachineConfig(cores=2, superscalar_width=4, seed=1,
+                            qpu=QpuConfig(outcome_bias=0.1)))
+CASES["reset200-w1"] = (
+    "reset200", MachineConfig(superscalar_width=1, seed=1,
+                              qpu=QpuConfig(outcome_bias=0.5)))
 
 
 def digests(program, config) -> dict[str, str]:
@@ -69,11 +77,23 @@ GOLDEN = {
         "steps": "e3d5c6c65ec7db0febc6358c520a9efb13cfa02e1873929f17ab1e37ef2a31dc",
         "sched": "77f5895d219b0b070a2f9e82c6240a302c038193b43a51d07e24dab01d1bd544",
     },
+    "dense8x50-w4": {
+        "report": "d281a7b190654b9ef95bc41f2d21f15c4153b8b7418ce30fa2b88a972d8feeff",
+        "events": "69a7a5dfb00b87355da5f08b0189b67f354816ae66c413c3ec79490ce03bb5d3",
+        "steps": "00c871cee9160df183aa077a6ea25d2a13e441bc65464abb387028c22859d7c8",
+        "sched": "b1225143d7964ebad51f7ce23642050a77e21feb17df157e5f38e185228e88e5",
+    },
     "dense8x50-w8": {
         "report": "7415455ff26cf86fc09387ac1eb34ab4ab5975fad9fca1c3fcfb31f40d2a9477",
         "events": "f9a65e203c8f812c46178a8d85a79e8b41335587051459199ac96be4c5f3a666",
         "steps": "069d645bcac3b9fc9b1fa087d448cb0c8cb901e3846deb960aa9966ac83a3d91",
         "sched": "8044803d0d3aa96c4312f1fa438cc7e8baf8a4aab017b93d182f823d8fe0c6f4",
+    },
+    "reset200-w1": {
+        "report": "1ce989783eff61893c392278b68193e745fb9b9a41a3827cb826ccc594de54fc",
+        "events": "516fc185a17d41b8d6bb8ee8adb1a9bd858d928868d2e09850a7b6b0d9b21877",
+        "steps": "6750bc5442ec14b917abdbcd272a4ac14dda805e1d2abaef4382ca479c0390a4",
+        "sched": "82760cb55d71497717f07b46c9fce6c6a3f06179fc261a6b48efe9d853a6e8a5",
     },
     "reset200-seed1": {
         "report": "52da9a3377df6991c258bb0cf77416eee741233bfc641cea98ab2d567fc08a6d",
@@ -116,6 +136,12 @@ GOLDEN = {
         "events": "a6868847670905049f055f72f76e621beaae134925d0bc9080c257d9ce22db76",
         "steps": "be70a2e24c810412317a40dcbc42193529eaadbadf7f1f15ca4843bf7117f14f",
         "sched": "b6e2e3d71c98573bf0259993bc88a38ed99f1d4ec75804566e747a5aa07f644d",
+    },
+    "steane-c2-w4": {
+        "report": "94cb63ad034fb35b8f45844d4f27a73764cf2b431a4b397e40ad22b94136ce2b",
+        "events": "6411d3b82b41489c5650497d4f7f27c4adf5dd2272a3890e02331a0dab0ca767",
+        "steps": "b53258385db1cf9ee7004a2301ec5a1701648702d5464518b0e5f3bf09cab093",
+        "sched": "3b3e899c926f0a9a282ad74da226d422ad2e74493696dabea51f8ee3a3a0a237",
     },
     "steane-c6": {
         "report": "15396de6a22f3eacbd9966a50ed98fd392502ef6d23f1f6d9b69d40f89141eb9",

@@ -1,11 +1,13 @@
 """Step grouping, CES decomposition, TR, speedup, serialization."""
 
+import io
 import json
+from dataclasses import replace
 
 import pytest
 
-from qcpsim.bench import gen_dense, gen_feedforward
-from qcpsim.config import MachineConfig
+from qcpsim.bench import BENCHMARKS, gen_dense, gen_feedforward, make_benchmark
+from qcpsim.config import MachineConfig, QpuConfig
 from qcpsim.engine import Engine
 from qcpsim.isa import parse_program
 from qcpsim.metrics import (build_report, events_to_csv, program_hash,
@@ -149,3 +151,90 @@ def test_steps_csv_columns():
         "core", "step", "qices", "cycles_quantum", "cycles_classical",
         "cycles_stall", "cycles_feedback", "ces", "tr"]
     assert len(rows) == len(rep.steps)
+
+
+# ── serializers against their references ─────────────────────────────
+
+def _reference_json(report) -> str:
+    return json.dumps(report.to_dict(), sort_keys=True, indent=2)
+
+
+def _reference_events_csv(events) -> str:
+    # the earlier one-row-at-a-time writer, kept as the reference
+    buf = io.StringIO()
+    buf.write("time_ns,gate,qubits,channel,duration_ns\n")
+    for e in events:
+        qubits = " ".join(f"q{q}" for q in e.qubits)
+        buf.write(f"{e.time_ns},{e.gate},{qubits},{e.channel},{e.duration_ns}\n")
+    return buf.getvalue()
+
+
+def _reference_steps_csv(report) -> str:
+    buf = io.StringIO()
+    buf.write("core,step,qices,cycles_quantum,cycles_classical,"
+              "cycles_stall,cycles_feedback,ces,tr\n")
+    for s in report.steps:
+        buf.write(f"{s.core},{s.step_index},{s.qices},{s.cycles_quantum},"
+                  f"{s.cycles_classical},{s.cycles_stall},{s.cycles_feedback},"
+                  f"{s.ces},{s.tr}\n")
+    return buf.getvalue()
+
+
+def _assert_serializers_match(report, events=()):
+    assert report.to_json() == _reference_json(report)
+    assert steps_to_csv(report) == _reference_steps_csv(report)
+    assert events_to_csv(list(events)) == _reference_events_csv(events)
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_serializers_match_reference(name):
+    bench = make_benchmark(name)
+    for width in (1, 4, 8):
+        for cores in (1, 2, 6):
+            cfg = MachineConfig(superscalar_width=width, cores=cores, seed=1,
+                                qpu=QpuConfig(outcome_bias=bench.bias))
+            trace = Engine(bench.program, cfg).run()
+            report = build_report(trace, program_hash(bench.program),
+                                  gate_ns=bench.gate_ns)
+            _assert_serializers_match(report, trace.events)
+
+
+def _dense_report():
+    p, trace = run(gen_dense(4, 6), width=2)
+    return build_report(trace, program_hash(p)), trace
+
+
+def test_serializers_match_reference_no_steps():
+    report, _trace = _dense_report()
+    _assert_serializers_match(replace(report, steps=[], violations=[]))
+    _assert_serializers_match(replace(report, steps=[]))
+
+
+def test_serializers_match_reference_with_violations():
+    report, _trace = _dense_report()
+    report = replace(report, violations=[(0, 40, 60), (1, 0, 10), (0, 80, 90)])
+    assert '"violations": [\n    [\n      0,' in report.to_json()
+    _assert_serializers_match(report)
+
+
+def test_serializers_match_reference_speedup_and_extras():
+    report, _trace = _dense_report()
+    nested = {"steps": [], "violations": [], "inner": {"steps": []}}
+    report = replace(report, speedup_vs_base=1.25,
+                     violations=[(0, 40, 60)],
+                     extras={"steps": [], "violations": [], "run": nested,
+                             "exec_ns_mean": 123.5})
+    text = report.to_json()
+    assert text.count('"steps": []') == 3
+    assert text.count('"violations": []') == 2
+    _assert_serializers_match(report)
+
+
+def test_serializers_match_reference_flux_pairs():
+    p, trace = run("0 H q0\n0 H q3\n1 CNOT q0,q3\n1 CZ q1,q2\n"
+                   "2 CNOT q3,q0\n3 CZ q1,q2\n")
+    pairs = [e for e in trace.events if len(e.qubits) == 2]
+    assert len(pairs) == 8          # one event per channel of each pair
+    assert "q0 q3" in events_to_csv(trace.events)
+    _assert_serializers_match(build_report(trace, program_hash(p)),
+                              trace.events)
