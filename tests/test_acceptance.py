@@ -1,7 +1,8 @@
 """Acceptance gate: every headline claim at its stated tolerance.
 
 Each test prints one PASS/FAIL line (run with -s to see them live). The
-expensive multicore sweep is computed once and shared.
+expensive multicore sweep is computed once and shared; its test is marked
+`slow`, so `pytest -m "not slow"` skips it for a quick loop.
 """
 
 import math
@@ -112,6 +113,7 @@ def steane_sweep():
     return data
 
 
+@pytest.mark.slow
 def test_criterion_3_multicore_speedup(steane_sweep):
     details = []
     ok = True
