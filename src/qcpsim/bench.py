@@ -316,10 +316,11 @@ class ExperimentSpec:
 
 
 def _config_for(spec: ExperimentSpec, config: MachineConfig,
-                seed: int, collect: bool) -> MachineConfig:
+                seed: int, steps: bool) -> MachineConfig:
+    # a report reads the step records, never the issue events
     qpu = replace(config.qpu, outcome_bias=spec.bias)
-    return replace(config, qpu=qpu, seed=seed, collect_events=collect,
-                   collect_steps=collect)
+    return replace(config, qpu=qpu, seed=seed, collect_events=False,
+                   collect_steps=steps)
 
 
 def run_experiment(spec: ExperimentSpec, config: MachineConfig) -> RunReport:
@@ -331,7 +332,7 @@ def run_experiment(spec: ExperimentSpec, config: MachineConfig) -> RunReport:
     """
     prepared = prepare(spec.program, config)
     phash = program_hash(prepared.program)
-    first_cfg = _config_for(spec, config, config.seed, collect=True)
+    first_cfg = _config_for(spec, config, config.seed, steps=True)
     trace = Engine(prepared, first_cfg).run()
     report = build_report(trace, phash, spec.gate_ns)
     if spec.repetitions > 1:
@@ -339,7 +340,7 @@ def run_experiment(spec: ExperimentSpec, config: MachineConfig) -> RunReport:
         times[0] = trace.total_exec_ns
         for rep in range(1, spec.repetitions):
             seed = config.seed + rep * SEED_STRIDE
-            cfg = _config_for(spec, config, seed, collect=False)
+            cfg = _config_for(spec, config, seed, steps=False)
             times[rep] = Engine(prepared, cfg).run().total_exec_ns
         report.extras["repetitions"] = spec.repetitions
         report.extras["exec_ns_mean"] = float(times.mean())

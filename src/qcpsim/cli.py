@@ -12,8 +12,8 @@ from .bench import (BENCHMARKS, ExperimentSpec, compare_runs, make_benchmark,
                     mean_exec_ns, sweep_cores, ideal_speedup)
 from .config import ConfigError, MachineConfig
 from .engine import Engine, RuntimeFault, ValidationFault, prepare
-from .isa import (ParseError, decode_program, encode_program, parse_program,
-                  validate_program)
+from .isa import (BINARY_MAGIC, ParseError, decode_program, encode_program,
+                  parse_program, validate_program)
 from .metrics import build_report, events_to_csv, program_hash
 from .sched import SimulatorBug
 
@@ -30,9 +30,15 @@ def _load_config(path: str | None) -> MachineConfig:
 
 def _load_program(path: str):
     data = Path(path).read_bytes()
-    if data[:8] == b"QAPE0001":
+    if data[:len(BINARY_MAGIC)] == BINARY_MAGIC:
         return decode_program(data)
     return parse_program(data.decode("utf-8"))
+
+
+def _print_diagnostics(diagnostics) -> int:
+    for d in diagnostics:
+        print(f"error: {d}", file=sys.stderr)
+    return EXIT_VALIDATION
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -52,9 +58,7 @@ def cmd_assemble(args) -> int:
         return EXIT_VALIDATION
     diagnostics = validate_program(program)
     if diagnostics:
-        for d in diagnostics:
-            print(f"error: {d}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _print_diagnostics(diagnostics)
     Path(args.output).write_bytes(encode_program(program))
     return EXIT_OK
 
@@ -65,9 +69,7 @@ def cmd_run(args) -> int:
     try:
         prepared = prepare(program, config)
     except ValidationFault as fault:
-        for d in fault.diagnostics:
-            print(f"error: {d}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _print_diagnostics(fault.diagnostics)
     trace = Engine(prepared, config).run()
     report = build_report(trace, program_hash(program))
     if args.trace:
@@ -132,12 +134,11 @@ def cmd_compare(args) -> int:
     base_cfg = _load_config(args.base)
     var_cfg = _load_config(args.variant)
     program = _load_program(args.program)
-    diagnostics = validate_program(program)
-    if diagnostics:
-        for d in diagnostics:
-            print(f"error: {d}", file=sys.stderr)
-        return EXIT_VALIDATION
-    spec = ExperimentSpec(program, repetitions=args.seeds,
+    try:
+        prepared = prepare(program, base_cfg)
+    except ValidationFault as fault:
+        return _print_diagnostics(fault.diagnostics)
+    spec = ExperimentSpec(prepared, repetitions=args.seeds,
                           bias=base_cfg.qpu.outcome_bias)
     base_rep, var_rep = compare_runs(spec, base_cfg, var_cfg)
     out = {

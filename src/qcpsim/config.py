@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .qpu import QpuConfig
 
@@ -37,7 +37,6 @@ class MachineConfig:
     deadlock_timeout_cycles: int = 1_000_000
     collect_events: bool = True
     collect_steps: bool = True
-    collect_cycle_trace: bool = False
 
     @property
     def clock_period_ns(self) -> int:
@@ -75,34 +74,17 @@ class MachineConfig:
                        fetch_bandwidth=1_000_000, prefetch=False)
 
     def to_dict(self) -> dict:
+        """Every field of the machine and its device; the `collect_*`
+        switches are left out, since they choose what a run records, not
+        the machine it simulates."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if not f.name.startswith("collect_")}
         q = self.qpu
-        bias = q.outcome_bias
-        if isinstance(bias, dict):
-            bias = {str(k): v for k, v in sorted(bias.items())}
-        return {
-            "cores": self.cores,
-            "superscalar_width": self.superscalar_width,
-            "t_switch": self.t_switch,
-            "sched_response": self.sched_response,
-            "fetch_bandwidth": self.fetch_bandwidth,
-            "branch_penalty": self.branch_penalty,
-            "ctx_switch_cycles": self.ctx_switch_cycles,
-            "pipeline_depth": self.pipeline_depth,
-            "prefetch": self.prefetch,
-            "seed": self.seed,
-            "dependency_mode": self.dependency_mode,
-            "deadlock_timeout_cycles": self.deadlock_timeout_cycles,
-            "qpu": {
-                "qubit_count": q.qubit_count,
-                "single_gate_ns": q.single_gate_ns,
-                "two_gate_ns": q.two_gate_ns,
-                "meas_pulse_ns": q.meas_pulse_ns,
-                "daq_ns": q.daq_ns,
-                "jitter_ns": q.jitter_ns,
-                "clock_period_ns": q.clock_period_ns,
-                "outcome_bias": bias,
-            },
-        }
+        out["qpu"] = qpu = {f.name: getattr(q, f.name) for f in fields(q)}
+        if isinstance(q.outcome_bias, dict):
+            qpu["outcome_bias"] = {str(k): v for k, v
+                                   in sorted(q.outcome_bias.items())}
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "MachineConfig":

@@ -17,8 +17,7 @@ extra dispatch cycles, so steady-state cycle counts are stage-exact.
 
 from __future__ import annotations
 
-__all__ = ["Core", "DecodedProgram", "decode_for_execution", "StepRecord",
-           "SHARED_REG_BASE"]
+__all__ = ["Core", "decode_for_execution", "StepRecord", "SHARED_REG_BASE"]
 
 from typing import NamedTuple
 
@@ -51,17 +50,9 @@ R_PENDING = 1    # measurement dispatched, result not yet scheduled
 R_SCHEDULED = 2  # value and ready time known
 
 
-class DecodedProgram:
-    """Program lowered to flat tuples for the simulation hot path."""
-
-    __slots__ = ("items", "qubit_count")
-
-    def __init__(self, items: list[tuple], qubit_count: int):
-        self.items = items
-        self.qubit_count = qubit_count
-
-
-def decode_for_execution(p: Program) -> DecodedProgram:
+def decode_for_execution(p: Program) -> list[tuple]:
+    """The program lowered to flat tuples for the simulation hot path, one
+    per instruction."""
     items: list[tuple] = []
     for pc, ins in enumerate(p.instructions):
         if ins.kind == Kind.QUANTUM:
@@ -77,7 +68,7 @@ def decode_for_execution(p: Program) -> DecodedProgram:
             items.append((K_MRCE, ins.result_reg, ins.mrce_target, op0, op1, pc))
         else:
             items.append((K_END, pc))
-    return DecodedProgram(items, p.qubit_count)
+    return items
 
 
 class _Entry:
@@ -121,16 +112,14 @@ class StepRecord(NamedTuple):
 
 
 class _MrceContext:
-    __slots__ = ("result_reg", "target", "op0", "op1", "anchor_ns",
-                 "created_cycle")
+    __slots__ = ("result_reg", "target", "op0", "op1", "anchor_ns")
 
-    def __init__(self, result_reg, target, op0, op1, anchor_ns, created_cycle):
+    def __init__(self, result_reg, target, op0, op1, anchor_ns):
         self.result_reg = result_reg
         self.target = target
         self.op0 = op0
         self.op1 = op1
         self.anchor_ns = anchor_ns
-        self.created_cycle = created_cycle
 
 
 class Core:
@@ -144,7 +133,7 @@ class Core:
         "entries", "pop_idx", "open_entry", "chain_sched", "prev_actual",
         "anchor", "injected", "mrce_contexts", "scoreboard", "ctx_pause",
         "_ctx_resolving", "_ctx_pot", "redirect_penalty", "fmr_wait",
-        "fb_mode", "_drained_ctx", "pot_c", "pot_s", "pot_f",
+        "fb_mode", "pot_c", "pot_s", "pot_f",
         "exec_start_cycle", "attributed", "result_wait_cycles",
         "drain_cycles", "stall_reason", "last_seen", "next_pop_ns",
         "next_call",
@@ -194,7 +183,6 @@ class Core:
         self.redirect_penalty = 0
         self.fmr_wait: tuple | None = None   # (result_reg, rd, start_cycle)
         self.fb_mode = False
-        self._drained_ctx = False
 
         # attribution pot: cycles waiting to be claimed by the next timing point
         self.pot_c = 0
@@ -365,10 +353,6 @@ class Core:
         ctx, value, ready = self._ctx_resolving
         self._ctx_resolving = None
         self.scoreboard.discard(ctx.target)
-        if self.engine.cycle_trace is not None:
-            self.engine.cycle_trace.append(
-                (cycle, self.core_id, "context resolve",
-                 f"q{ctx.target}={value}"))
         op = ctx.op1 if value else ctx.op0
         pot = self._ctx_pot
         self._ctx_pot = 0
@@ -563,9 +547,6 @@ class Core:
             self.result_wait_cycles += 1
             if blocked:
                 self.stall_reason = "scoreboard"
-                if self.engine.cycle_trace is not None:
-                    self.engine.cycle_trace.append(
-                        (cycle, self.core_id, "stall", "scoreboard"))
             if (self.open_entry is not None
                     and self.open_entry.closed_cycle < 0):
                 self.open_entry.closed_cycle = cycle
@@ -657,10 +638,6 @@ class Core:
             if item[4] >= 0:
                 slot = rf[item[4]]
                 slot[0] = R_PENDING
-        trace = self.engine.cycle_trace
-        if trace is not None:
-            trace.append((cycle, self.core_id, "dispatch",
-                          tuple(op[0] for op in entry.ops[-len(group):])))
         entry.last_cycle = cycle
         entry.q_cycles += 1
         if self.pot_c or self.pot_s or self.pot_f:
@@ -685,9 +662,6 @@ class Core:
                 return False, False
             self.fmr_wait = (reg, item[2], cycle)
             self.stall_reason = "result wait"
-            if self.engine.cycle_trace is not None:
-                self.engine.cycle_trace.append(
-                    (cycle, self.core_id, "stall", "result wait"))
             # the stalled pipeline cannot extend the newest timing point;
             # release it or its own measurement could never issue
             if self.open_entry is not None and self.open_entry.closed_cycle < 0:
@@ -759,11 +733,8 @@ class Core:
             self.fb_mode = True
             return None
         self.mrce_contexts.append(
-            _MrceContext(reg, target, item[3], item[4], anchor, cycle))
+            _MrceContext(reg, target, item[3], item[4], anchor))
         self.scoreboard.add(target)
-        if self.engine.cycle_trace is not None:
-            self.engine.cycle_trace.append(
-                (cycle, self.core_id, "context open", f"q{target}"))
         return None
 
     def _write_reg(self, idx: int, value: int) -> None:
@@ -881,12 +852,11 @@ class Core:
         if self.open_entry is not None and self.open_entry.closed_cycle < 0:
             self.open_entry.closed_cycle = cycle
             self.next_pop_ns = 0
+        # completion waits out any stall in progress, and deliberately waits
+        # for open contexts to resolve
         if (self.fmr_wait is not None or self.ctx_pause
                 or self.mrce_contexts or self.redirect_penalty
                 or self._ctx_resolving is not None):
-            if self.mrce_contexts or self._ctx_resolving is not None:
-                # completion deliberately waits for open contexts to resolve
-                self._drained_ctx = True
             return False
         return self.pop_idx >= len(self.entries) and not self.injected
 
@@ -898,10 +868,6 @@ class Core:
                 f"{self.executing}: {self.attributed} classified of {span}")
         self.engine.result_wait_total += self.result_wait_cycles
         self.engine.drain_total += self.drain_cycles
-        if self._drained_ctx:
-            self.engine.context_drained_blocks.append(
-                (self.executing, self.core_id))
-            self._drained_ctx = False
         self.finished_block = self.executing
         self.executing = None
         self.entries.clear()

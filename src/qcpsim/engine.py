@@ -51,8 +51,6 @@ class RunTrace:
     scheduler_events: list[SchedulerEvent] = field(default_factory=list)
     block_spans: list[tuple[int, int, int, int]] = field(default_factory=list)
     context_switches: list[int] = field(default_factory=list)
-    context_drained_blocks: list[tuple[int, int]] = field(default_factory=list)
-    cycle_records: list[tuple] = field(default_factory=list)
     result_wait_cycles: int = 0
     drain_cycles: int = 0
     issue_count: int = 0
@@ -71,9 +69,8 @@ class PreparedProgram:
             raise ValidationFault(diagnostics)
         self.program = program
         self.table = build_table(program)
-        decoded = decode_for_execution(program)
-        self.items = decoded.items
-        self.qubit_count = decoded.qubit_count
+        self.items = decode_for_execution(program)
+        self.qubit_count = program.qubit_count
 
 
 def prepare(program: Program | PreparedProgram,
@@ -115,13 +112,9 @@ class Engine:
         self.result_file = [[0, 0, 0] for _ in range(RESULT_REGS)]
         self.shared_regs = [0] * SHARED_REGS
         self.collect_steps = config.collect_steps
-        # optional per-cycle records: (cycle, core, kind, detail)
-        self.cycle_trace: list[tuple] | None = (
-            [] if config.collect_cycle_trace else None)
         self.steps: list[StepRecord] = []
         self.violations: list[tuple[int, int, int]] = []
         self.context_switches: list[int] = []
-        self.context_drained_blocks: list[tuple[int, int]] = []
         self.result_wait_total = 0
         self.drain_total = 0
 
@@ -235,11 +228,9 @@ class Engine:
         trace.scheduler_events = sched.events
         trace.block_spans = sched.block_spans
         trace.context_switches = self.context_switches
-        trace.context_drained_blocks = self.context_drained_blocks
         trace.result_wait_cycles = self.result_wait_total
         trace.drain_cycles = self.drain_total
         trace.issue_count = self.qpu.event_count
-        trace.cycle_records = self.cycle_trace or []
         return trace
 
 

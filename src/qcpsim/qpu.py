@@ -73,13 +73,6 @@ class QpuConfig:
             return self.outcome_bias.get(program_point, 0.0)
         return self.outcome_bias
 
-    def duration_of(self, gate_name: str) -> int:
-        if gate_name in ("CNOT", "CZ"):
-            return self.two_gate_ns
-        if gate_name == "MEAS":
-            return self.meas_pulse_ns
-        return self.single_gate_ns
-
 
 class IssueEvent(NamedTuple):
     """Ground truth for one operation delivered to the device."""
@@ -140,12 +133,6 @@ class QpuState:
         self._scalar_bias = bias if not isinstance(bias, dict) else None
         self._result_latency = config.meas_pulse_ns + config.daq_ns
 
-    def _stream(self, qubit: int) -> SplitMix64:
-        s = self._streams.get(qubit)
-        if s is None:
-            s = self._streams[qubit] = _qubit_stream(self.seed, qubit)
-        return s
-
     def accept_issue(self, time_ns: int, scheduled_ns: int, gate_name: str,
                      qubits: tuple[int, ...], core: int) -> None:
         """Log one operation and mark its qubits busy for the gate duration.
@@ -163,7 +150,7 @@ class QpuState:
                 self.collisions.append(
                     Collision(q, time_ns, busy[q], gate_name))
             busy[q] = end
-        pair = duration == self.config.two_gate_ns and len(qubits) == 2
+        pair = len(qubits) == 2
         self.event_count += 2 if pair else 1
         if end > self.last_event_end_ns:
             self.last_event_end_ns = end

@@ -55,8 +55,7 @@ class Scheduler:
                  "t_switch", "prefetch_enabled", "statuses", "done_mask",
                  "priority_counter", "busy_until", "transfer", "events",
                  "dirty", "done_count", "_max_prio", "_by_priority",
-                 "_wait_blocks", "_level_remaining", "_exec_start",
-                 "block_spans")
+                 "_wait_blocks", "_level_remaining", "block_spans")
 
     def __init__(self, table: BlockInfoTable, cores, *, sched_response: int,
                  fetch_bandwidth: int, t_switch: int, prefetch: bool):
@@ -85,7 +84,6 @@ class Scheduler:
                 self._by_priority.setdefault(e.priority, []).append(e.block_id)
         self._wait_blocks = list(range(n))
         self._level_remaining = {p: len(v) for p, v in self._by_priority.items()}
-        self._exec_start: dict[int, int] = {}
         self.block_spans: list[tuple[int, int, int, int]] = []  # block, core, start, end
 
     # ── status bookkeeping ─────────────────────────────────────────
@@ -141,7 +139,6 @@ class Scheduler:
                 core.start_block(b, slot, finish,
                                  self.table.entries[b].pc_start,
                                  self.table.entries[b].pc_end)
-                self._exec_start[b] = finish
                 self.events.append(SchedulerEvent(now, "start", b, c))
             self.dirty = True
 
@@ -166,7 +163,6 @@ class Scheduler:
                     core.begin_switch(b, slot, start,
                                       self.table.entries[b].pc_start,
                                       self.table.entries[b].pc_end)
-                    self._exec_start[b] = start
                     self.events.append(SchedulerEvent(now, "switch", b, core.core_id))
                     break
 
@@ -183,12 +179,6 @@ class Scheduler:
         if self.prefetch_enabled and self._try_prefetch(now):
             return
         self.dirty = False
-
-    def _free_slot(self, core) -> int | None:
-        for slot in (0, 1):
-            if core.slots[slot] is None:
-                return slot
-        return None
 
     def _alloc_candidates(self) -> list[int]:
         statuses = self.statuses
@@ -280,5 +270,5 @@ class Scheduler:
                 counter += 1
             self.priority_counter = counter
         self.events.append(SchedulerEvent(now, "done", b, core.core_id))
-        self.block_spans.append((b, core.core_id, self._exec_start.get(b, 0), now))
+        self.block_spans.append((b, core.core_id, core.exec_start_cycle, now))
         self.dirty = True

@@ -136,6 +136,7 @@ class _StubCore:
     """Just enough of a core for `Scheduler.notify_done`."""
 
     core_id = 0
+    exec_start_cycle = 0
 
     def __init__(self):
         self.slots = [None, None]

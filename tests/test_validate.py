@@ -261,6 +261,19 @@ def test_cli_run_validates_once(validate_calls, tmp_path, capsys):
     assert len(validate_calls) == 1
 
 
+def test_cli_compare_validates_once(validate_calls, tmp_path, capsys):
+    asm = tmp_path / "prog.qasm"
+    asm.write_text("0 H q0\n2 MEAS q0 -> r0\nFMR r1, r0\nEND\n")
+    base = tmp_path / "base.json"
+    base.write_text(MachineConfig().to_json())
+    variant = tmp_path / "variant.json"
+    variant.write_text(MachineConfig(superscalar_width=4).to_json())
+    assert cli.main(["compare", str(asm), "--base", str(base),
+                     "--variant", str(variant), "--seeds", "2"]) == cli.EXIT_OK
+    assert '"speedup"' in capsys.readouterr().out
+    assert len(validate_calls) == 1
+
+
 def test_cli_run_reports_every_diagnostic(tmp_path, capsys):
     asm = tmp_path / "bad.qasm"
     asm.write_text(".qubits 4\n0 H q3\nFMR r1, r5\n")
