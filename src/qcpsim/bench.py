@@ -28,7 +28,6 @@ __all__ = [
 # default device geometry, in clock cycles at the default 10 ns clock
 SINGLE_C = 2     # 20 ns single-qubit gate
 TWO_C = 4        # 40 ns two-qubit gate
-MEAS_C = 30      # 300 ns readout pulse
 FEEDBACK_C = 45  # 450 ns measure-to-result latency
 
 
@@ -305,9 +304,12 @@ BENCHMARKS = {
 
 @dataclass
 class ExperimentSpec:
+    """What to run. `bias` replaces the configuration's
+    `qpu.outcome_bias`; `None` keeps each configuration's own."""
+
     program: Program | PreparedProgram
     repetitions: int = 1
-    bias: float | dict = 0.0
+    bias: float | dict | None = 0.0
     gate_ns: int = 20
 
     def __post_init__(self):
@@ -318,7 +320,9 @@ class ExperimentSpec:
 def _config_for(spec: ExperimentSpec, config: MachineConfig,
                 seed: int, steps: bool) -> MachineConfig:
     # a report reads the step records, never the issue events
-    qpu = replace(config.qpu, outcome_bias=spec.bias)
+    qpu = config.qpu
+    if spec.bias is not None:
+        qpu = replace(qpu, outcome_bias=spec.bias)
     return replace(config, qpu=qpu, seed=seed, collect_events=False,
                    collect_steps=steps)
 

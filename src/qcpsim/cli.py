@@ -138,8 +138,8 @@ def cmd_compare(args) -> int:
         prepared = prepare(program, base_cfg)
     except ValidationFault as fault:
         return _print_diagnostics(fault.diagnostics)
-    spec = ExperimentSpec(prepared, repetitions=args.seeds,
-                          bias=base_cfg.qpu.outcome_bias)
+    # each side runs under its own config's outcome bias
+    spec = ExperimentSpec(prepared, repetitions=args.seeds, bias=None)
     base_rep, var_rep = compare_runs(spec, base_cfg, var_cfg)
     out = {
         "base": base_rep.to_dict(),

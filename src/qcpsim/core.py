@@ -38,7 +38,6 @@ _OP_MOV = int(ClassicalOp.MOV)
 _OP_ADD = int(ClassicalOp.ADD)
 _OP_SUB = int(ClassicalOp.SUB)
 _OP_AND = int(ClassicalOp.AND)
-_OP_OR = int(ClassicalOp.OR)
 _OP_CMP = int(ClassicalOp.CMP)
 _OP_BR = int(ClassicalOp.BR)
 _OP_JMP = int(ClassicalOp.JMP)
@@ -50,24 +49,34 @@ R_PENDING = 1    # measurement dispatched, result not yet scheduled
 R_SCHEDULED = 2  # value and ready time known
 
 
+# gate names for the lowered form, read without the enum's `name` property
+_GATE_NAMES = {g: g.name for g in Gate}
+
+
 def decode_for_execution(p: Program) -> list[tuple]:
     """The program lowered to flat tuples for the simulation hot path, one
     per instruction."""
+    quantum, classical, mrce = Kind.QUANTUM, Kind.CLASSICAL, Kind.MRCE
+    meas, nop, names = Gate.MEAS, Gate.NOP, _GATE_NAMES
     items: list[tuple] = []
+    append = items.append
     for pc, ins in enumerate(p.instructions):
-        if ins.kind == Kind.QUANTUM:
-            items.append((K_QUANTUM, ins.timing_label, ins.gate.name, ins.qubits,
-                          ins.result_reg if ins.gate == Gate.MEAS else -1, pc))
-        elif ins.kind == Kind.CLASSICAL:
-            items.append((K_CLASSICAL, int(ins.classical_op), ins.rd, ins.ra,
-                          ins.rb, ins.imm, int(ins.cond), ins.target,
-                          ins.result_reg, pc))
-        elif ins.kind == Kind.MRCE:
-            op0 = None if ins.mrce_op0 == Gate.NOP else ins.mrce_op0.name
-            op1 = None if ins.mrce_op1 == Gate.NOP else ins.mrce_op1.name
-            items.append((K_MRCE, ins.result_reg, ins.mrce_target, op0, op1, pc))
+        kind = ins.kind
+        if kind == quantum:
+            gate = ins.gate
+            append((K_QUANTUM, ins.timing_label, names[gate], ins.qubits,
+                    ins.result_reg if gate == meas else -1, pc))
+        elif kind == classical:
+            append((K_CLASSICAL, int(ins.classical_op), ins.rd, ins.ra,
+                    ins.rb, ins.imm, int(ins.cond), ins.target,
+                    ins.result_reg, pc))
+        elif kind == mrce:
+            op0, op1 = ins.mrce_op0, ins.mrce_op1
+            append((K_MRCE, ins.result_reg, ins.mrce_target,
+                    None if op0 == nop else names[op0],
+                    None if op1 == nop else names[op1], pc))
         else:
-            items.append((K_END, pc))
+            append((K_END, pc))
     return items
 
 
@@ -687,7 +696,7 @@ class Core:
                 value = a - b
             elif op == _OP_AND:
                 value = a & b
-            else:
+            else:   # OR
                 value = a | b
             self._write_reg(item[2], value)
         elif op == _OP_BR:

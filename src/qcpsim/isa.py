@@ -14,8 +14,9 @@ import math
 import re
 import struct
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
+from operator import attrgetter
 
 __all__ = [
     "Kind", "Gate", "ClassicalOp", "BranchCond", "Instruction", "BlockDirective",
@@ -61,7 +62,6 @@ class Gate(IntEnum):
 
 ROTATION_GATES = frozenset({Gate.RX, Gate.RY, Gate.RZ})
 TWO_QUBIT_GATES = frozenset({Gate.CNOT, Gate.CZ})
-SINGLE_QUBIT_GATES = frozenset({Gate.X, Gate.Y, Gate.Z, Gate.H}) | ROTATION_GATES
 # operand set for conditional execution: plain single-qubit gates or NOP
 MRCE_OPS = frozenset({Gate.NOP, Gate.X, Gate.Y, Gate.Z, Gate.H})
 
@@ -117,6 +117,11 @@ _IMM_BITS = 21
 _IMM_MIN = -(1 << (_IMM_BITS - 1))
 _IMM_MAX = (1 << (_IMM_BITS - 1)) - 1
 _TARGET_MAX = (1 << 22) - 1
+
+# enum members the encoder reads per instruction, bound once: looking a
+# member up on its enum class costs several times a module global
+_QUANTUM = Kind.QUANTUM
+_MEAS = Gate.MEAS
 
 
 class ParseError(ValueError):
@@ -270,9 +275,9 @@ def _parse_quantum(label: int, mnemonic: str, ops: list[str], line_no: int) -> I
                        qubits=(_parse_qubit(ops[0], line_no),), src_line=line_no)
 
 
-def _parse_classical(mnemonic: str, ops: list[str], line_no: int,
-                     pending_targets: list[tuple[int, str, int]],
-                     pc: int) -> Instruction:
+def _parse_classical(mnemonic: str, ops: list[str],
+                     line_no: int) -> tuple[Instruction, str | None]:
+    """The instruction, and the label its branch target names, if any."""
     if mnemonic == "MRCE":
         if len(ops) != 4:
             raise ParseError(line_no, "MRCE takes result reg, qubit, op0, op1")
@@ -282,11 +287,12 @@ def _parse_classical(mnemonic: str, ops: list[str], line_no: int,
                 raise ParseError(line_no, f"{name} is not a conditional-exec op")
         return Instruction(Kind.MRCE, result_reg=_parse_reg(ops[0], line_no),
                            mrce_target=_parse_qubit(ops[1], line_no),
-                           mrce_op0=Gate[op0], mrce_op1=Gate[op1], src_line=line_no)
+                           mrce_op0=Gate[op0], mrce_op1=Gate[op1],
+                           src_line=line_no), None
     if mnemonic == "END":
         if ops:
             raise ParseError(line_no, "END takes no operands")
-        return Instruction(Kind.END_BLOCK, src_line=line_no)
+        return Instruction(Kind.END_BLOCK, src_line=line_no), None
 
     base = mnemonic.split(".")[0]
     op = _CLASSICAL_MNEMONICS[base]
@@ -329,10 +335,41 @@ def _parse_classical(mnemonic: str, ops: list[str], line_no: int,
         if tok.lstrip("-").isdigit():
             ins.target = int(tok)
         elif _NAME_RE.match(tok):
-            pending_targets.append((pc, tok, line_no))
+            return ins, tok
         else:
             raise ParseError(line_no, f"bad branch target {tok!r}")
-    return ins
+    return ins, None
+
+
+def _parse_instruction(line: str, line_no: int) -> tuple[Instruction, str | None]:
+    """One stripped instruction line, and the label its branch target
+    names, if any."""
+    tokens = line.split(None, 1)
+    head = tokens[0]
+    if head.lstrip("-").isdigit():
+        label = int(head)
+        if label < 0:
+            raise ParseError(line_no, "timing label must be nonnegative")
+        if label > MAX_TIMING_LABEL:
+            raise ParseError(line_no, f"timing label {label} too large")
+        if len(tokens) < 2:
+            raise ParseError(line_no, "timing label without an instruction")
+        body = tokens[1].split(None, 1)
+        mnemonic = body[0].upper()
+        if mnemonic not in _GATE_MNEMONICS:
+            raise ParseError(line_no, f"unknown quantum mnemonic {mnemonic!r}")
+        ops = _split_operands(body[1]) if len(body) > 1 else []
+        return _parse_quantum(label, mnemonic, ops, line_no), None
+    mnemonic = head.upper()
+    base = mnemonic.split(".")[0]
+    if base not in _CLASSICAL_MNEMONICS and mnemonic not in ("MRCE", "END"):
+        raise ParseError(line_no, f"unknown mnemonic {mnemonic!r}")
+    ops = _split_operands(tokens[1]) if len(tokens) > 1 else []
+    return _parse_classical(mnemonic, ops, line_no)
+
+
+# an instruction's field values but `src_line`, which is the last field
+_fields_but_src_line = attrgetter(*[f.name for f in fields(Instruction)][:-1])
 
 
 def parse_program(text: str) -> Program:
@@ -342,6 +379,10 @@ def parse_program(text: str) -> Program:
     lines are `<label> <MNEMONIC> <operands>`; classical lines have no
     label. `.qubits <n>` sets the qubit count, `.block` declares a program
     block, and `name:` defines a branch-target label.
+
+    Each distinct instruction line is parsed once per call; a repeat builds
+    a fresh `Instruction` from the first parse's fields, with its own
+    `src_line`, and resolves its own branch target.
     """
     instructions: list[Instruction] = []
     directives: list[BlockDirective] = []
@@ -349,10 +390,20 @@ def parse_program(text: str) -> Program:
     pending_targets: list[tuple[int, str, int]] = []
     qubit_count: int | None = None
     dep_style: str | None = None
+    # stripped instruction line -> (its fields but src_line, target label)
+    parsed: dict[str, tuple[tuple, str | None]] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
+            continue
+
+        hit = parsed.get(line)
+        if hit is not None:
+            values, name = hit
+            if name is not None:
+                pending_targets.append((len(instructions), name, line_no))
+            instructions.append(Instruction(*values, line_no))
             continue
 
         m = _LABEL_DEF_RE.match(line)
@@ -383,31 +434,11 @@ def parse_program(text: str) -> Program:
             directives.append(directive)
             continue
 
-        tokens = line.split(None, 1)
-        head = tokens[0]
-        if head.lstrip("-").isdigit():
-            label = int(head)
-            if label < 0:
-                raise ParseError(line_no, "timing label must be nonnegative")
-            if label > MAX_TIMING_LABEL:
-                raise ParseError(line_no, f"timing label {label} too large")
-            if len(tokens) < 2:
-                raise ParseError(line_no, "timing label without an instruction")
-            body = tokens[1].split(None, 1)
-            mnemonic = body[0].upper()
-            if mnemonic not in _GATE_MNEMONICS:
-                raise ParseError(line_no, f"unknown quantum mnemonic {mnemonic!r}")
-            ops = _split_operands(body[1]) if len(body) > 1 else []
-            instructions.append(_parse_quantum(label, mnemonic, ops, line_no))
-        else:
-            mnemonic = head.upper()
-            base = mnemonic.split(".")[0]
-            if base not in _CLASSICAL_MNEMONICS and mnemonic not in ("MRCE", "END"):
-                raise ParseError(line_no, f"unknown mnemonic {mnemonic!r}")
-            ops = _split_operands(tokens[1]) if len(tokens) > 1 else []
-            instructions.append(
-                _parse_classical(mnemonic, ops, line_no, pending_targets,
-                                 len(instructions)))
+        ins, name = _parse_instruction(line, line_no)
+        if name is not None:
+            pending_targets.append((len(instructions), name, line_no))
+        instructions.append(ins)
+        parsed[line] = (_fields_but_src_line(ins), name)
 
     for pc, name, line_no in pending_targets:
         if name not in labels:
@@ -518,16 +549,20 @@ def _check(value: int, width: int, what: str) -> int:
 
 def encode_instruction(ins: Instruction) -> int:
     """Pack an instruction into its 32-bit word."""
-    if ins.kind == Kind.QUANTUM:
-        opcode = _OPC_Q_BASE + int(ins.gate) - 1
-        word = opcode << 26
-        word |= _check(ins.timing_label, 10, "timing label") << 16
-        word |= _check(ins.qubits[0], 6, "qubit index") << 10
-        if ins.gate in TWO_QUBIT_GATES:
+    if ins.kind == _QUANTUM:
+        gate = ins.gate
+        label = ins.timing_label
+        q0 = ins.qubits[0]
+        # the common fields are range-checked inline; `_check` only raises
+        if not (0 <= label <= MAX_TIMING_LABEL and 0 <= q0 < MAX_QUBITS):
+            _check(label, 10, "timing label")
+            _check(q0, 6, "qubit index")
+        word = (_OPC_Q_BASE + int(gate) - 1) << 26 | label << 16 | q0 << 10
+        if gate in TWO_QUBIT_GATES:
             word |= _check(ins.qubits[1], 6, "qubit index") << 4
-        elif ins.gate == Gate.MEAS:
+        elif gate == _MEAS:
             word |= _check(ins.result_reg, 5, "result register") << 5
-        elif ins.gate in ROTATION_GATES:
+        elif gate in ROTATION_GATES:
             step = round(ins.angle / _TWO_PI * ANGLE_STEPS) % ANGLE_STEPS
             word |= step
         return word

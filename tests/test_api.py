@@ -1,7 +1,9 @@
-"""The package's code surface: every function it defines has a caller."""
+"""The package's code surface: every function and module-level name it
+defines has a reader."""
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -10,10 +12,21 @@ PACKAGE = ROOT / "src" / "qcpsim"
 SEARCHED = ("src", "tests", "demos", "perfbench")
 
 
+def _searched_text() -> str:
+    return "\n".join(path.read_text()
+                     for top in SEARCHED
+                     for path in sorted((ROOT / top).rglob("*.py")))
+
+
+def _package_modules() -> list[ast.Module]:
+    return [ast.parse(path.read_text(), str(path))
+            for path in sorted(PACKAGE.glob("*.py"))]
+
+
 def _defined_functions() -> set[str]:
     names = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for module in _package_modules():
+        for node in ast.walk(module):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if not (node.name.startswith("__")
                         and node.name.endswith("__")):
@@ -21,14 +34,43 @@ def _defined_functions() -> set[str]:
     return names
 
 
+def _module_assignments() -> Counter:
+    """How many module-level assignments bind each name; dunder names such
+    as `__all__` and `__version__` are read by tools, not by code."""
+    counts = Counter()
+    for module in _package_modules():
+        for node in module.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not (
+                            name.id.startswith("__")
+                            and name.id.endswith("__")):
+                        counts[name.id] += 1
+    return counts
+
+
 def test_no_unused_functions():
-    text = "\n".join(path.read_text()
-                     for top in SEARCHED
-                     for path in sorted((ROOT / top).rglob("*.py")))
+    text = _searched_text()
     unused = []
     for name in sorted(_defined_functions()):
         mentions = len(re.findall(rf"\b{name}\b", text))
         defs = len(re.findall(rf"\bdef\s+{name}\b", text))
+        if mentions <= defs:
+            unused.append(name)
+    assert unused == []
+
+
+def test_no_unused_module_names():
+    text = _searched_text()
+    unused = []
+    for name, defs in sorted(_module_assignments().items()):
+        mentions = len(re.findall(rf"\b{name}\b", text))
         if mentions <= defs:
             unused.append(name)
     assert unused == []

@@ -248,6 +248,34 @@ def test_cli_compare(tmp_path):
     assert data["speedup"] >= 1.0
 
 
+def test_cli_compare_uses_each_configs_bias(tmp_path):
+    asm = tmp_path / "prog.qasm"
+    asm.write_text(print_program(gen_parallel_rus(2)))
+    base = tmp_path / "base.json"
+    variant = tmp_path / "var.json"
+    base.write_text("{}")
+    variant.write_text('{"qpu": {"outcome_bias": 0.9}}')
+    r = _cli("compare", str(asm), "--base", str(base), "--variant", str(variant),
+             "--seeds", "4")
+    assert r.returncode == 0, r.stderr
+    data = json.loads(r.stdout)
+    assert data["base"]["config"]["qpu"]["outcome_bias"] == 0.0
+    assert data["variant"]["config"]["qpu"]["outcome_bias"] == 0.9
+    # the variant's measurements are those of its own config run alone
+    spec = ExperimentSpec(gen_parallel_rus(2), repetitions=4, bias=0.9)
+    alone = run_experiment(spec, MachineConfig.from_json(variant.read_text()))
+    assert data["variant"]["extras"]["exec_ns_mean"] == \
+        alone.extras["exec_ns_mean"]
+    # with equal biases both sides run under that bias, as before
+    r = _cli("compare", str(asm), "--base", str(variant), "--variant",
+             str(variant), "--seeds", "4")
+    data = json.loads(r.stdout)
+    cfg = MachineConfig.from_json(variant.read_text())
+    base_rep, var_rep = compare_runs(spec, cfg, cfg)
+    assert data["base"] == base_rep.to_dict()
+    assert data["variant"] == var_rep.to_dict()
+
+
 def test_cli_help_lists_subcommands():
     r = _cli("--help")
     assert r.returncode == 0

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from qcpsim.isa import (
-    BranchCond, ClassicalOp, EncodingError, Gate, Instruction, Kind,
+    BranchCond, ClassicalOp, EncodingError, Gate, Instruction, Kind, Program,
     BINARY_MAGIC, MAX_BLOCKS, ParseError, decode_instruction, decode_program,
     encode_instruction, encode_program, parse_program, print_program,
     quantize_angle, validate_program,
@@ -228,3 +228,146 @@ def test_binary_container_priority_blocks():
                       ".block a start=0 end=0 prio=0\n"
                       ".block b start=1 end=1 prio=1\n")
     assert decode_program(encode_program(p)) == p
+
+
+# ── Front-end pins and the once-per-distinct-line parse ─────────────
+
+def _front_end_programs():
+    """Every benchmark program at its defaults, plus the longer and
+    alternative generator forms."""
+    from qcpsim.bench import (BENCHMARKS, gen_active_reset_plus_rb, gen_dense,
+                              gen_parallel_rus, make_benchmark)
+    progs = {f"bench-{name}": make_benchmark(name).program
+             for name in sorted(BENCHMARKS)}
+    progs["dense8x300"] = gen_dense(8, 300)
+    progs["reset20-mrce"] = gen_active_reset_plus_rb(20, mrce=True)
+    progs["reset20-plain"] = gen_active_reset_plus_rb(20, mrce=False)
+    progs["rus8"] = gen_parallel_rus(8)
+    return progs
+
+
+# name -> (program_hash, sha256 of repr(decode_for_execution(p)))
+FRONT_END_PINS = {
+    "bench-active_reset_rb": (
+        "1db2989de523ce78",
+        "76b49d2f970e9980f47b119407a997df38573016870fa636ab4ebd89553a457f"),
+    "bench-dense": (
+        "78c1f5eac37883c5",
+        "1cb3874433d9c76571fc0449064d440c5c86d38fb4a7c048c5caf9785c045b26"),
+    "bench-feedforward": (
+        "2537d07e6d0ccca3",
+        "68ae06d5c8a5557a581b7754ad35266964c47e7780aa3eb545e66f5ab49b1641"),
+    "bench-parallel_rus": (
+        "9c1b8d2e7812addf",
+        "56977c3cca8256ad669b7eea34cf287a96ca4f7b6be32d3cdb5c9dfa5b7e9d6d"),
+    "bench-steane": (
+        "abe4a7841a2c8af8",
+        "47df7c955692586a0e781ecca89d5cf0b06b3fcdbf154b9c2f1c1b990fadedd6"),
+    "dense8x300": (
+        "9f5c36b4bc357b72",
+        "6e7a910e6a210a6328953360820773da44a268e24ebb76055cd4ff4e0e56d6e8"),
+    "reset20-mrce": (
+        "1db2989de523ce78",
+        "76b49d2f970e9980f47b119407a997df38573016870fa636ab4ebd89553a457f"),
+    "reset20-plain": (
+        "f72790acaa6ee41e",
+        "8079f7fd03771797dedaf582a5a3ef4dff5283df7cc6ea7013aa2ce11c4e57b7"),
+    "rus8": (
+        "6a7b0b64b9cbc9b0",
+        "7cab9a437f563e9f9a3f40caa4a9d7f807a0505c158a5b7245f9c3a608c3b89b"),
+}
+
+
+def test_front_end_outputs_pinned():
+    import hashlib
+
+    from qcpsim.core import decode_for_execution
+    from qcpsim.metrics import program_hash
+    progs = _front_end_programs()
+    assert set(progs) == set(FRONT_END_PINS)
+    for name, p in progs.items():
+        decoded = hashlib.sha256(
+            repr(decode_for_execution(p)).encode()).hexdigest()
+        assert (program_hash(p), decoded) == FRONT_END_PINS[name], name
+
+
+def test_lowering_reads_plain_int_fields_by_value():
+    # validate_program accepts instructions built without enum members, so
+    # the encoder and the lowering must read them the same way
+    from dataclasses import replace
+
+    from qcpsim.core import decode_for_execution
+    p = parse_program("0 H q0\n1 RX q1, 0.5\n0 CNOT q0, q1\n2 MEAS q1 -> r3\n"
+                      "MRCE r3, q0, NOP, X\nFMR r1, r3\nCMP r1, r2\n"
+                      "BR.ne 0\nEND\n")
+    plain = Program([
+        replace(ins, kind=int(ins.kind), gate=int(ins.gate),
+                cond=int(ins.cond), mrce_op0=int(ins.mrce_op0),
+                mrce_op1=int(ins.mrce_op1),
+                classical_op=(None if ins.classical_op is None
+                              else int(ins.classical_op)))
+        for ins in p.instructions], [], p.qubit_count)
+    assert decode_for_execution(plain) == decode_for_execution(p)
+    assert encode_program(plain) == encode_program(p)
+
+
+@pytest.mark.parametrize("ins, message", [
+    (Instruction(Kind.QUANTUM, timing_label=1024, gate=Gate.H, qubits=(0,)),
+     "timing label 1024 does not fit 10 bits"),
+    (Instruction(Kind.QUANTUM, gate=Gate.H, qubits=(64,)),
+     "qubit index 64 does not fit 6 bits"),
+    (Instruction(Kind.QUANTUM, timing_label=-1, gate=Gate.H, qubits=(0,)),
+     "timing label -1 does not fit 10 bits"),
+    (Instruction(Kind.QUANTUM, gate=Gate.H, qubits=(-1,)),
+     "qubit index -1 does not fit 6 bits"),
+    (Instruction(Kind.QUANTUM, gate=Gate.CNOT, qubits=(0, 64)),
+     "qubit index 64 does not fit 6 bits"),
+    (Instruction(Kind.QUANTUM, gate=Gate.MEAS, qubits=(0,), result_reg=32),
+     "result register 32 does not fit 5 bits"),
+])
+def test_quantum_encoding_errors_pinned(ins, message):
+    with pytest.raises(EncodingError) as e:
+        encode_instruction(ins)
+    assert str(e.value) == message
+
+
+def test_parse_generated_programs_line_by_line():
+    for name, p in _front_end_programs().items():
+        text = print_program(p)
+        again = parse_program(text)
+        assert again == p, name
+        # `.qubits` is line 1, so instruction pc sits on line pc + 2
+        assert [ins.src_line for ins in again.instructions] == \
+            list(range(2, len(again.instructions) + 2)), name
+        assert len({id(ins) for ins in again.instructions}) == \
+            len(again.instructions), name
+
+
+def test_repeated_branch_lines_resolve_per_pc():
+    # each line appears once before its label is defined and once after it
+    p = parse_program("0 H q0\nJMP loop\nBR.eq loop\nJMP out\nloop:\n0 H q0\n"
+                      "JMP loop\nBR.eq loop\nout:\nJMP out\n")
+    assert [ins.target for ins in p.instructions] == [0, 4, 4, 7, 0, 4, 4, 7]
+    assert [ins.src_line for ins in p.instructions] == [1, 2, 3, 4, 6, 7, 8, 10]
+    p.instructions[1].target = 0
+    assert p.instructions[5].target == 4
+
+
+def test_repeated_lines_are_distinct_instructions():
+    p = parse_program("0 H q0\n0 H q0\nLDI r1, 5\nLDI r1, 5\n")
+    first, second, third, fourth = p.instructions
+    first.qubits = (3,)
+    third.imm = 9
+    assert second.qubits == (0,) and fourth.imm == 5
+    assert (first.src_line, second.src_line) == (1, 2)
+
+
+@pytest.mark.parametrize("good", ["0 H q0", "LDI r1, 5", "JMP 0"])
+def test_parse_error_after_repeats_keeps_its_line(good):
+    bad = "0 CNOT q1, q1"
+    with pytest.raises(ParseError) as e:
+        parse_program("\n".join([good] * 50 + [bad]) + "\n")
+    assert e.value.line_no == 51
+    with pytest.raises(ParseError) as e:
+        parse_program("\n".join([good] * 3 + [bad, good, bad]) + "\n")
+    assert e.value.line_no == 4
