@@ -15,7 +15,7 @@ import numpy as np
 from .config import SEED_STRIDE, MachineConfig
 from .engine import Engine, PreparedProgram, prepare
 from .isa import Program, parse_program
-from .metrics import RunReport, build_report, program_hash, speedup
+from .metrics import RunReport, build_report, program_hash
 from .qpu import QpuConfig
 
 __all__ = [

@@ -10,6 +10,17 @@ have been seen, at the latest of its scheduled time and its pipeline
 readiness; slippage is recorded as a timing violation and later points chain
 off the actual issue time so relative gaps survive.
 
+A timing point closes (`Core._close_point`) when nothing more can join it: a
+quantum group with a non-zero label opens the next point, a classical
+instruction ends the open point where it stands in program order (after the
+older quantum work dispatched with it, before the younger), a stalled or
+held-back head releases it, and so does the end of the block's stream.
+
+Each result register is a `[value, ready_ns]` pair: a measurement's result
+is readable from `ready_ns` on. `NEVER` marks a register no issued
+measurement has filled, including one whose producing measurement has been
+dispatched but not yet issued.
+
 The simulation collapses the pipeline stages into one pass per cycle;
 pipeline depth appears as a constant offset on issue readiness, never as
 extra dispatch cycles, so steady-state cycle counts are stage-exact.
@@ -43,10 +54,9 @@ _OP_BR = int(ClassicalOp.BR)
 _OP_JMP = int(ClassicalOp.JMP)
 _OP_FMR = int(ClassicalOp.FMR)
 
-# result-register file states
-R_EMPTY = 0      # never targeted by a measurement
-R_PENDING = 1    # measurement dispatched, result not yet scheduled
-R_SCHEDULED = 2  # value and ready time known
+# a time that never comes: an unfilled result register's ready time, and
+# the next issue time of an empty queue
+NEVER = 2 ** 62
 
 
 # gate names for the lowered form, read without the enum's `name` property
@@ -181,7 +191,9 @@ class Core:
         self.chain_sched = -1         # scheduled time of the newest entry
         self.prev_actual = -1         # actual issue time of the last pop
         self.anchor = 0
-        self.injected: list[list] = []  # [sched, disp_cycle, gate, qubit, pc, fb]
+        # conditional ops waiting to issue:
+        # (earliest_issue_ns, sched, gate, qubit, charged_cycles)
+        self.injected: list[tuple] = []
 
         self.mrce_contexts: list[_MrceContext] = []
         self.scoreboard: set[int] = set()
@@ -203,7 +215,7 @@ class Core:
         self.drain_cycles = 0
         self.stall_reason: str | None = None
         self.last_seen = -1
-        self.next_pop_ns = 1 << 62
+        self.next_pop_ns = NEVER
         self.next_call = 0
 
     # ── block lifecycle ────────────────────────────────────────────
@@ -248,7 +260,7 @@ class Core:
         self.drain_cycles = 0
         self.stall_reason = None
         self.last_seen = start_cycle - 1
-        self.next_pop_ns = 1 << 62
+        self.next_pop_ns = NEVER
 
     # ── per-cycle evaluation ───────────────────────────────────────
 
@@ -318,7 +330,7 @@ class Core:
             return eff + 1
         if self.stall_reason is None and (not self.stream_ended or self.pending):
             return None
-        return self._idle_wake(cycle)
+        return self._queue_wake(cycle)
 
     def _bump_waits(self) -> None:
         # a context switch consumed this cycle; keep a concurrent result
@@ -335,9 +347,9 @@ class Core:
         rf = self.engine.result_file
         resolved_free = False
         for i, ctx in enumerate(self.mrce_contexts):
-            slot = rf[ctx.result_reg]
-            if slot[0] == R_SCHEDULED and slot[2] <= now_ns:
-                self._ctx_resolving = (ctx, slot[1], slot[2])
+            value, ready = rf[ctx.result_reg]
+            if ready <= now_ns:
+                self._ctx_resolving = (ctx, value, ready)
                 del self.mrce_contexts[i]
                 self.engine.context_switches.append(self.ctx_cycles)
                 if self.ctx_cycles == 0:
@@ -368,20 +380,18 @@ class Core:
         if op is None:
             self.pot_f += pot
             return
-        sched = max(ready, ctx.anchor_ns)
-        self.injected.append([sched, cycle, op, ctx.target, -1, pot])
-        self.next_pop_ns = 0
+        self._inject(max(ready, ctx.anchor_ns), op, ctx.target, cycle, pot)
 
     # ── classical stall handling ───────────────────────────────────
 
     def _check_fmr(self, cycle: int, now_ns: int) -> int | None:
         reg, rd, start = self.fmr_wait
-        slot = self.engine.result_file[reg]
-        if slot[0] == R_SCHEDULED and slot[2] <= now_ns:
+        value, ready = self.engine.result_file[reg]
+        if ready <= now_ns:
             waited = cycle - start
             self.result_wait_cycles += waited
             self.attributed += waited
-            self._write_reg(rd, slot[1])
+            self._write_reg(rd, value)
             self.fmr_wait = None
             self.fb_mode = True
             self.pot_f += 1          # the latch cycle starts the conditional work
@@ -389,8 +399,8 @@ class Core:
             self.stall_reason = None
             return None
         self.stall_reason = "result wait"
-        if slot[0] == R_SCHEDULED:
-            return -(-slot[2] // self.clock)
+        if ready != NEVER:
+            return -(-ready // self.clock)
         return None  # pending or never produced; the watchdog covers the latter
 
     # ── dispatch ───────────────────────────────────────────────────
@@ -429,13 +439,12 @@ class Core:
                     break
             entry = self.open_entry
             if glen == 1 and head[1] == 0 and entry is not None \
-                    and entry.closed_cycle < 0 \
                     and not (self.pot_c or self.pot_s or self.pot_f):
                 # label-0 follower joins the open timing point directly
                 del pending[0]
                 entry.ops.append((head[2], head[3], head[4], head[5]))
                 if head[4] >= 0:
-                    self.engine.result_file[head[4]][0] = R_PENDING
+                    self.engine.result_file[head[4]][1] = NEVER
                 entry.last_cycle = cycle + used
                 entry.q_cycles += 1
                 self.attributed += 1
@@ -471,6 +480,7 @@ class Core:
         stalled = False
         cut = len(pending)
         mrce_cycle = False
+        mrce_effect = None
         if cl_idx >= 0:
             item = pending[cl_idx]
             k = item[0]
@@ -479,7 +489,7 @@ class Core:
                 branch_taken = True     # drop everything younger
                 cut = cl_idx
             elif k == K_MRCE:
-                mrce_effect = self._execute_mrce(item, cycle, now_ns)
+                mrce_effect = self._execute_mrce(item, now_ns)
                 mrce_cycle = True
             else:
                 branch_taken, stalled = self._execute_classical_op(
@@ -492,17 +502,14 @@ class Core:
         if stalled:
             del pending[cl_idx]
             return 0
-        if cl_idx >= 0:
-            entry = self.open_entry
-            if entry is not None and entry.closed_cycle < 0:
-                entry.closed_cycle = cycle
-                self.next_pop_ns = 0
 
         group: list[int] = []
         blocked = False
         scoreboard = self.scoreboard
         for i in range(cut):
             if i == cl_idx:
+                if group:
+                    break       # the classical ends the point the group joins
                 continue
             item = pending[i]
             if item[0] != K_QUANTUM:
@@ -516,33 +523,26 @@ class Core:
             if len(group) == width:
                 break
 
+        # only quantum work is older than the picked classical, so the group
+        # is either a prefix of the buffer or follows a classical at its head
         group_items = [pending[i] for i in group]
+        older = bool(group) and group[0] < cl_idx
         if branch_taken:
-            # drop the classical and everything younger; keep older survivors
-            survivors = [pending[i] for i in range(cut) if i not in group]
-            pending.clear()
-            pending.extend(survivors)
-        elif cl_idx < 0:
-            if group:
-                del pending[:len(group)]   # group is always a prefix here
-        elif not group:
+            del pending[cut:]           # the classical and everything younger
+        elif cl_idx >= 0:
             del pending[cl_idx]
-        else:
-            consumed = set(group)
-            consumed.add(cl_idx)
-            new_pending = [it for i, it in enumerate(pending)
-                           if i not in consumed]
-            pending.clear()
-            pending.extend(new_pending)
+        del pending[:len(group)]
 
-        if mrce_cycle and mrce_effect is not None:
+        if mrce_effect is not None:
             # an immediately-resolved conditional op is free when the cycle
             # already belongs to a quantum dispatch, one cycle otherwise
-            mrce_effect[5] = 0 if group_items else 1
-            self.injected.append(mrce_effect)
-            self.next_pop_ns = 0
+            self._inject(*mrce_effect, cycle, 0 if group_items else 1)
+        if cl_idx >= 0 and not older:
+            self._close_point(cycle)
         if group_items:
             self._dispatch_group(group_items, cycle)
+            if older:
+                self._close_point(cycle)
         elif cl_idx >= 0:
             self.attributed += 1
             if mrce_cycle or self.fb_mode:
@@ -556,10 +556,7 @@ class Core:
             self.result_wait_cycles += 1
             if blocked:
                 self.stall_reason = "scoreboard"
-            if (self.open_entry is not None
-                    and self.open_entry.closed_cycle < 0):
-                self.open_entry.closed_cycle = cycle
-                self.next_pop_ns = 0
+            self._close_point(cycle)
         return 0
 
     def _dispatch_classical_alone(self, cycle: int, now_ns: int) -> int:
@@ -580,10 +577,7 @@ class Core:
                 pending.clear()
             else:
                 del pending[0]
-        entry = self.open_entry
-        if entry is not None and entry.closed_cycle < 0:
-            entry.closed_cycle = cycle
-            self.next_pop_ns = 0
+        self._close_point(cycle)
         self.attributed += 1
         if self.fb_mode:
             self.pot_f += 1
@@ -604,8 +598,7 @@ class Core:
                 if self._older_meas(pending, i, reg):
                     return -1, i
                 if i > 0:
-                    slot = rf[reg]
-                    if not (slot[0] == R_SCHEDULED and slot[2] <= now_ns):
+                    if rf[reg][1] > now_ns:
                         # would stall ahead of older quantum work; hold it
                         return -1, i
             elif k == K_MRCE:
@@ -627,10 +620,8 @@ class Core:
         head = group[0]
         label = head[1]
         entry = self.open_entry
-        if entry is None or label != 0 or entry.closed_cycle >= 0:
-            if entry is not None and entry.closed_cycle < 0:
-                entry.closed_cycle = cycle
-                self.next_pop_ns = 0
+        if entry is None or label != 0:
+            self._close_point(cycle)
             if self.chain_sched < 0:
                 sched = self.anchor + label * self.clock
                 gap = label * self.clock
@@ -645,8 +636,7 @@ class Core:
         for item in group:
             entry.ops.append((item[2], item[3], item[4], item[5]))
             if item[4] >= 0:
-                slot = rf[item[4]]
-                slot[0] = R_PENDING
+                rf[item[4]][1] = NEVER
         entry.last_cycle = cycle
         entry.q_cycles += 1
         if self.pot_c or self.pot_s or self.pot_f:
@@ -664,18 +654,16 @@ class Core:
         op = item[1]
         if op == _OP_FMR:
             reg = item[8]
-            slot = self.engine.result_file[reg]
-            if slot[0] == R_SCHEDULED and slot[2] <= now_ns:
-                self._write_reg(item[2], slot[1])
+            value, ready = self.engine.result_file[reg]
+            if ready <= now_ns:
+                self._write_reg(item[2], value)
                 self.fb_mode = True
                 return False, False
             self.fmr_wait = (reg, item[2], cycle)
             self.stall_reason = "result wait"
             # the stalled pipeline cannot extend the newest timing point;
             # release it or its own measurement could never issue
-            if self.open_entry is not None and self.open_entry.closed_cycle < 0:
-                self.open_entry.closed_cycle = cycle
-                self.next_pop_ns = 0
+            self._close_point(cycle)
             return False, True
         if op <= _OP_CMP:
             regs = self.regs
@@ -727,18 +715,17 @@ class Core:
         self.stream_ended = self.pc > self.pc_end
         self.redirect_penalty = self.branch_penalty
 
-    def _execute_mrce(self, item: tuple, cycle: int,
-                      now_ns: int) -> list | None:
-        """Run a conditional-execution instruction; returns the injected
-        operation record when the result is already readable, else stores a
-        context. Cycle attribution is the caller's concern."""
+    def _execute_mrce(self, item: tuple, now_ns: int) -> tuple | None:
+        """Run a conditional-execution instruction; returns the operation to
+        inject, `(sched, gate, qubit)`, when the result is already readable,
+        else stores a context. Cycle attribution is the caller's concern."""
         reg, target = item[1], item[2]
-        slot = self.engine.result_file[reg]
+        value, ready = self.engine.result_file[reg]
         anchor = self.chain_sched if self.chain_sched >= 0 else self.anchor
-        if slot[0] == R_SCHEDULED and slot[2] <= now_ns:
-            op = item[4] if slot[1] else item[3]
+        if ready <= now_ns:
+            op = item[4] if value else item[3]
             if op is not None:
-                return [max(slot[2], anchor), cycle, op, target, item[5], 1]
+                return max(ready, anchor), op, target
             self.fb_mode = True
             return None
         self.mrce_contexts.append(
@@ -758,6 +745,32 @@ class Core:
         return self.engine.shared_regs[idx - SHARED_REG_BASE]
 
     # ── timing controller ──────────────────────────────────────────
+    #
+    # `next_pop_ns` is always the earliest time anything queued can issue:
+    # the oldest timing point once closed, or any injected op.
+
+    def _close_point(self, cycle: int) -> None:
+        """End the open timing point at `cycle`; nothing joins it after."""
+        entry = self.open_entry
+        if entry is None:
+            return
+        entry.closed_cycle = cycle
+        self.open_entry = None
+        if self.entries[self.pop_idx] is entry:
+            actual = self._entry_times(entry)[1]
+            if actual < self.next_pop_ns:
+                self.next_pop_ns = actual
+
+    def _inject(self, sched: int, gate: str, qubit: int, cycle: int,
+                charged: int) -> None:
+        """Queue a conditional op dispatched at `cycle`; `charged` is the
+        cycle count its step record claims."""
+        earliest = cycle * self.clock + self.depth_offset
+        if sched > earliest:
+            earliest = sched
+        self.injected.append((earliest, sched, gate, qubit, charged))
+        if earliest < self.next_pop_ns:
+            self.next_pop_ns = earliest
 
     def _entry_times(self, entry: _Entry) -> tuple[int, int]:
         """(local, actual) of a timing point popped next: its time on the
@@ -777,42 +790,26 @@ class Core:
         entries = self.entries
         injected = self.injected
         idx = self.pop_idx
-        if not injected and (idx >= len(entries)
-                             or entries[idx].closed_cycle < 0):
-            self.next_pop_ns = 1 << 62
-            return
-        clock = self.clock
-        depth = self.depth_offset
         while True:
-            main_actual = None
+            main_actual = NEVER
             if idx < len(entries):
                 main = entries[idx]
                 if main.closed_cycle >= 0:
                     local, main_actual = self._entry_times(main)
             inj_idx = -1
-            inj_actual = None
+            inj_actual = NEVER
             for i, rec in enumerate(injected):
-                a = rec[0]
-                r = rec[1] * clock + depth
-                if r > a:
-                    a = r
-                if inj_actual is None or a < inj_actual:
-                    inj_actual, inj_idx = a, i
-            if (main_actual is not None and main_actual <= now_ns
-                    and (inj_actual is None or main_actual <= inj_actual)):
+                if rec[0] < inj_actual:
+                    inj_actual, inj_idx = rec[0], i
+            if main_actual <= now_ns and main_actual <= inj_actual:
                 self._issue_entry(main, local, main_actual)
                 idx += 1
                 self.pop_idx = idx
                 continue
-            if inj_actual is not None and inj_actual <= now_ns:
+            if inj_actual <= now_ns:
                 self._issue_injected(injected.pop(inj_idx), inj_actual)
                 continue
-            nxt = 1 << 62
-            if main_actual is not None:
-                nxt = main_actual
-            if inj_actual is not None and inj_actual < nxt:
-                nxt = inj_actual
-            self.next_pop_ns = nxt
+            self.next_pop_ns = min(main_actual, inj_actual)
             break
 
     def _issue_entry(self, entry: _Entry, local: int, actual: int) -> None:
@@ -830,19 +827,15 @@ class Core:
         for gate, qubits, rreg, pc in ops:
             qpu.accept_issue(actual, sched, gate, qubits, core_id)
             if rreg >= 0:
-                bit, ready = qpu.measurement_result(qubits[0], actual, pc)
-                slot = rf[rreg]
-                slot[0] = R_SCHEDULED
-                slot[1] = bit
-                slot[2] = ready
+                rf[rreg][:] = qpu.measurement_result(qubits[0], actual, pc)
         if engine.collect_steps:
             engine.steps.append(StepRecord(
                 core_id, entry.block, sched, actual, len(ops),
                 entry.q_cycles, entry.c_cycles, entry.s_cycles, entry.f_cycles,
                 actual - local))
 
-    def _issue_injected(self, rec: list, actual: int) -> None:
-        sched, _cycle, gate, qubit, _pc, budget = rec
+    def _issue_injected(self, rec: tuple, actual: int) -> None:
+        _earliest, sched, gate, qubit, budget = rec
         self.engine.qpu.accept_issue(actual, sched, gate, (qubit,), self.core_id)
         if actual > sched:
             self.engine.violations.append((self.core_id, sched, actual))
@@ -858,9 +851,7 @@ class Core:
     def _block_complete(self, cycle: int) -> bool:
         # nothing can join the newest timing point anymore; release it so
         # stalls waiting on its measurements can make progress
-        if self.open_entry is not None and self.open_entry.closed_cycle < 0:
-            self.open_entry.closed_cycle = cycle
-            self.next_pop_ns = 0
+        self._close_point(cycle)
         # completion waits out any stall in progress, and deliberately waits
         # for open contexts to resolve
         if (self.fmr_wait is not None or self.ctx_pause
@@ -881,46 +872,24 @@ class Core:
         self.executing = None
         self.entries.clear()
         self.pop_idx = 0
-        self.open_entry = None
         self.scoreboard.clear()
 
     # ── wake hinting for the event-skipping engine ─────────────────
 
-    def _idle_wake(self, cycle: int) -> int | None:
+    def _queue_wake(self, cycle: int) -> int | None:
         if self.ctx_pause or self.redirect_penalty:
             return None
-        if self.fmr_wait is None and (not self.stream_ended or self.pending):
-            if self.stall_reason is None:
-                return None
-        return self._queue_wake(cycle)
-
-    def _queue_wake(self, cycle: int) -> int | None:
-        best: int | None = None
-        if self.pop_idx < len(self.entries):
-            entry = self.entries[self.pop_idx]
-            if entry.closed_cycle >= 0:
-                best = -(-self._entry_times(entry)[1] // self.clock)
-        for rec in self.injected:
-            a = rec[0]
-            r = rec[1] * self.clock + self.depth_offset
-            if r > a:
-                a = r
-            c = -(-a // self.clock)
-            if best is None or c < best:
-                best = c
+        best = self.next_pop_ns
         rf = self.engine.result_file
         for ctx in self.mrce_contexts:
-            slot = rf[ctx.result_reg]
-            if slot[0] == R_SCHEDULED:
-                c = -(-slot[2] // self.clock)
-                if best is None or c < best:
-                    best = c
+            ready = rf[ctx.result_reg][1]
+            if ready < best:
+                best = ready
         if self.fmr_wait is not None:
-            slot = rf[self.fmr_wait[0]]
-            if slot[0] == R_SCHEDULED:
-                c = -(-slot[2] // self.clock)
-                if best is None or c < best:
-                    best = c
-        if best is not None and best <= cycle:
-            best = cycle + 1
-        return best
+            ready = rf[self.fmr_wait[0]][1]
+            if ready < best:
+                best = ready
+        if best == NEVER:
+            return None
+        best = -(-best // self.clock)
+        return best if best > cycle else cycle + 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .blocks import build_table, to_direct_table, to_priority_table
 from .config import MachineConfig
-from .core import R_EMPTY, Core, StepRecord, decode_for_execution
+from .core import NEVER, Core, StepRecord, decode_for_execution
 from .isa import Diagnostic, Program, validate_program
 from .qpu import Collision, IssueEvent, QpuState
 from .sched import Scheduler, SchedulerEvent
@@ -109,7 +109,7 @@ class Engine:
         self.qpu = QpuState(config.qpu, max(qubit_count, 1), config.seed,
                             collect_events=config.collect_events)
 
-        self.result_file = [[R_EMPTY, 0, 0] for _ in range(RESULT_REGS)]
+        self.result_file = [[0, NEVER] for _ in range(RESULT_REGS)]
         self.shared_regs = [0] * SHARED_REGS
         self.collect_steps = config.collect_steps
         self.steps: list[StepRecord] = []

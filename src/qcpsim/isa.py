@@ -494,8 +494,10 @@ def _infer_qubit_count(instructions: list[Instruction]) -> int:
 # ── Printing ────────────────────────────────────────────────────────
 
 def format_instruction(ins: Instruction) -> str:
+    # fields may hold plain ints, as validation and the encoder accept;
+    # names are read through the enums
     if ins.kind == Kind.QUANTUM:
-        g = ins.gate
+        g = Gate(ins.gate)
         if g in TWO_QUBIT_GATES:
             body = f"{g.name} q{ins.qubits[0]}, q{ins.qubits[1]}"
         elif g == Gate.MEAS:
@@ -507,10 +509,10 @@ def format_instruction(ins: Instruction) -> str:
         return f"{ins.timing_label} {body}"
     if ins.kind == Kind.MRCE:
         return (f"MRCE r{ins.result_reg}, q{ins.mrce_target}, "
-                f"{ins.mrce_op0.name}, {ins.mrce_op1.name}")
+                f"{Gate(ins.mrce_op0).name}, {Gate(ins.mrce_op1).name}")
     if ins.kind == Kind.END_BLOCK:
         return "END"
-    op = ins.classical_op
+    op = ClassicalOp(ins.classical_op)
     if op == ClassicalOp.LDI:
         return f"LDI r{ins.rd}, {ins.imm}"
     if op == ClassicalOp.MOV:
@@ -522,7 +524,7 @@ def format_instruction(ins: Instruction) -> str:
     if op == ClassicalOp.FMR:
         return f"FMR r{ins.rd}, r{ins.result_reg}"
     if op == ClassicalOp.BR:
-        return f"BR.{ins.cond.name.lower()} {ins.target}"
+        return f"BR.{BranchCond(ins.cond).name.lower()} {ins.target}"
     return f"JMP {ins.target}"
 
 

@@ -55,7 +55,7 @@ class Scheduler:
                  "t_switch", "prefetch_enabled", "statuses", "done_mask",
                  "priority_counter", "busy_until", "transfer", "events",
                  "dirty", "done_count", "_max_prio", "_by_priority",
-                 "_wait_blocks", "_level_remaining", "block_spans")
+                 "_level_remaining", "block_spans")
 
     def __init__(self, table: BlockInfoTable, cores, *, sched_response: int,
                  fetch_bandwidth: int, t_switch: int, prefetch: bool):
@@ -76,13 +76,10 @@ class Scheduler:
         self.dirty = True
         self.done_count = 0
         self._max_prio = table.max_priority
-        if table.representation == DIRECT:
-            self._by_priority: dict[int, list[int]] = {}
-        else:
-            self._by_priority = {}
+        self._by_priority: dict[int, list[int]] = {}
+        if table.representation != DIRECT:
             for e in table.entries:
                 self._by_priority.setdefault(e.priority, []).append(e.block_id)
-        self._wait_blocks = list(range(n))
         self._level_remaining = {p: len(v) for p, v in self._by_priority.items()}
         self.block_spans: list[tuple[int, int, int, int]] = []  # block, core, start, end
 
@@ -185,8 +182,8 @@ class Scheduler:
         if self.table.representation == DIRECT:
             done = self.done_mask
             entries = self.table.entries
-            return [b for b in self._wait_blocks
-                    if statuses[b] == BlockStatus.WAIT
+            return [b for b, status in enumerate(statuses)
+                    if status == BlockStatus.WAIT
                     and (entries[b].dep_mask & ~done) == 0]
         level = self._by_priority.get(self.priority_counter, ())
         return [b for b in level if statuses[b] == BlockStatus.WAIT]
@@ -194,8 +191,8 @@ class Scheduler:
     def _prefetch_candidates(self) -> list[int]:
         statuses = self.statuses
         if self.table.representation == DIRECT:
-            return [b for b in self._wait_blocks
-                    if statuses[b] == BlockStatus.WAIT and self._prefetchable(b)]
+            return [b for b, status in enumerate(statuses)
+                    if status == BlockStatus.WAIT and self._prefetchable(b)]
         out = []
         for level in (self.priority_counter, self.priority_counter + 1):
             for b in self._by_priority.get(level, ()):

@@ -1,5 +1,5 @@
 """The package's code surface: every function and module-level name it
-defines has a reader."""
+defines has a reader, and every name a module imports is read there."""
 
 import ast
 import re
@@ -73,4 +73,29 @@ def test_no_unused_module_names():
         mentions = len(re.findall(rf"\b{name}\b", text))
         if mentions <= defs:
             unused.append(name)
+    assert unused == []
+
+
+def _unread_imports(module: ast.Module) -> list[str]:
+    """Names `module` imports but never reads; `__future__` imports are
+    compiler directives, not names."""
+    imported = []
+    for node in ast.walk(module):
+        if isinstance(node, ast.Import):
+            imported += [(a.asname or a.name).split(".")[0]
+                         for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    read = {node.id for node in ast.walk(module)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in imported if name not in read]
+
+
+def test_no_unused_imports():
+    # the package's `__init__` imports to re-export, so it is not checked
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            module = ast.parse(path.read_text(), str(path))
+            unused += [f"{path.stem}.{name}" for name in _unread_imports(module)]
     assert unused == []

@@ -71,6 +71,31 @@ def test_branch_dispatches_with_quantum_group():
     assert q_steps[0].cycles_stall == 0
 
 
+# the open conditional context turns the quantum batch path off, so the LDI
+# shares dispatch cycles with quantum work at widths above 1
+SPLIT_PROBE = "\n".join([
+    ".qubits 8", "0 MEAS q0 -> r0", "MRCE r0, q0, NOP, X", "2 H q1",
+    "0 H q2", "0 H q3", "0 H q4", "0 H q5", "LDI r1, 1", "{tail}", "END",
+]) + "\n"
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8])
+@pytest.mark.parametrize("tail, points", [
+    ("2 H q6", [(40, 1), (60, 5), (80, 1)]),
+    # a label-0 op after the LDI opens its own point at the same time
+    ("0 H q6\n2 H q7", [(40, 1), (60, 5), (60, 1), (80, 1)]),
+], ids=["P1", "P2"])
+def test_classical_ends_the_open_timing_point(tail, points, width):
+    # `2 H q1` .. `0 H q5` form one timing point, which the LDI ends where
+    # it stands in program order: at every width its five ops are one step
+    # and issue at one time
+    trace = run(SPLIT_PROBE.format(tail=tail), width=width, bias=1.0)
+    assert [(s.scheduled_ns, s.qices)
+            for s in trace.steps if not s.injected] == points
+    assert len({e.time_ns for e in trace.events
+                if 1 <= e.qubits[0] <= 5}) == 1
+
+
 def test_taken_branch_penalty_and_flush():
     # CMP sets eq; BR.eq jumps over the middle gate, costing the penalty
     src = ("0 H q0\n"

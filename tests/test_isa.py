@@ -1,5 +1,6 @@
 """Assembly grammar, binary encoding, and static validation."""
 
+import dataclasses
 import math
 import random
 
@@ -39,28 +40,46 @@ def test_parse_meas_then_conditional():
     assert mrce.mrce_target == 0
 
 
+ROUND_TRIP = "\n".join([
+    ".qubits 4",
+    "0 H q0",
+    "0 MEAS q0 -> r3",
+    "MRCE r3, q1, NOP, X",
+    "2 RX q2, 1.5707963267948966",
+    "LDI r5, -17",
+    "MOV r6, r5",
+    "ADD r7, r5, r6",
+    "SUB r8, r7, r5",
+    "AND r9, r7, r8",
+    "OR r10, r9, r8",
+    "CMP r9, r10",
+    "BR.le 13",
+    "FMR r1, r3",
+    "4 CZ q2, q3",
+    "JMP 15",
+    "END",
+]) + "\n"
+
+
 def test_parse_print_round_trip():
-    src = "\n".join([
-        ".qubits 4",
-        "0 H q0",
-        "0 MEAS q0 -> r3",
-        "MRCE r3, q1, NOP, X",
-        "2 RX q2, 1.5707963267948966",
-        "LDI r5, -17",
-        "MOV r6, r5",
-        "ADD r7, r5, r6",
-        "SUB r8, r7, r5",
-        "AND r9, r7, r8",
-        "OR r10, r9, r8",
-        "CMP r9, r10",
-        "BR.le 13",
-        "FMR r1, r3",
-        "4 CZ q2, q3",
-        "JMP 15",
-        "END",
-    ]) + "\n"
-    p = parse_program(src)
+    p = parse_program(ROUND_TRIP)
     assert parse_program(print_program(p)) == p
+
+
+def test_print_program_reads_plain_int_fields():
+    # validation, the encoder and lowering accept plain ints in the enum
+    # fields, so printing must too
+    p = Program([Instruction(0, gate=4, qubits=(0,))], [], 1)
+    assert validate_program(p) == []
+    assert print_program(p) == ".qubits 1\n0 H q0\n"
+    enums = parse_program(ROUND_TRIP)
+    ints = Program([dataclasses.replace(
+        ins, kind=int(ins.kind), gate=int(ins.gate), cond=int(ins.cond),
+        classical_op=(None if ins.classical_op is None
+                      else int(ins.classical_op)),
+        mrce_op0=int(ins.mrce_op0), mrce_op1=int(ins.mrce_op1))
+        for ins in enums.instructions], [], enums.qubit_count)
+    assert print_program(ints) == print_program(enums)
 
 
 def test_parse_errors_carry_line_numbers():
