@@ -15,7 +15,7 @@ import numpy as np
 from .config import SEED_STRIDE, MachineConfig
 from .engine import Engine, PreparedProgram, prepare
 from .isa import Program, parse_program
-from .metrics import RunReport, build_report, program_hash
+from .metrics import RunReport, build_report
 from .qpu import QpuConfig
 
 __all__ = [
@@ -335,7 +335,7 @@ def run_experiment(spec: ExperimentSpec, config: MachineConfig) -> RunReport:
     `extras`. A `PreparedProgram` in the spec is used as it is.
     """
     prepared = prepare(spec.program, config)
-    phash = program_hash(prepared.program)
+    phash = prepared.program_hash
     first_cfg = _config_for(spec, config, config.seed, steps=True)
     trace = Engine(prepared, first_cfg).run()
     report = build_report(trace, phash, spec.gate_ns)

@@ -14,7 +14,7 @@ from .config import ConfigError, MachineConfig
 from .engine import Engine, RuntimeFault, ValidationFault, prepare
 from .isa import (BINARY_MAGIC, ParseError, decode_program, encode_program,
                   parse_program, validate_program)
-from .metrics import build_report, events_to_csv, program_hash
+from .metrics import build_report, events_to_csv
 from .sched import SimulatorBug
 
 EXIT_OK = 0
@@ -71,7 +71,7 @@ def cmd_run(args) -> int:
     except ValidationFault as fault:
         return _print_diagnostics(fault.diagnostics)
     trace = Engine(prepared, config).run()
-    report = build_report(trace, program_hash(program))
+    report = build_report(trace, prepared.program_hash)
     if args.trace:
         Path(args.trace).write_text(events_to_csv(trace.events))
     _emit(report.to_json(), args.output)

@@ -93,13 +93,15 @@ def decode_for_execution(p: Program) -> list[tuple]:
 class _Entry:
     """One timing point: the operations sharing a scheduled issue time."""
 
-    __slots__ = ("sched", "gap", "ops", "last_cycle", "closed_cycle",
-                 "q_cycles", "c_cycles", "s_cycles", "f_cycles", "block")
+    __slots__ = ("sched", "gap", "ops", "has_meas", "last_cycle",
+                 "closed_cycle", "q_cycles", "c_cycles", "s_cycles",
+                 "f_cycles", "block")
 
     def __init__(self, sched: int, gap: int, block: int):
         self.sched = sched
         self.gap = gap                  # ns since the previous timing point
-        self.ops: list[tuple] = []      # (gate, qubits, result_reg, pc)
+        self.ops: list[tuple] = []      # the decoded quantum items
+        self.has_meas = False           # any op writes a result register
         self.last_cycle = 0
         self.closed_cycle = -1
         self.q_cycles = 0
@@ -192,7 +194,7 @@ class Core:
         self.prev_actual = -1         # actual issue time of the last pop
         self.anchor = 0
         # conditional ops waiting to issue:
-        # (earliest_issue_ns, sched, gate, qubit, charged_cycles)
+        # (earliest_issue_ns, sched, one-op point, charged_cycles)
         self.injected: list[tuple] = []
 
         self.mrce_contexts: list[_MrceContext] = []
@@ -442,9 +444,10 @@ class Core:
                     and not (self.pot_c or self.pot_s or self.pot_f):
                 # label-0 follower joins the open timing point directly
                 del pending[0]
-                entry.ops.append((head[2], head[3], head[4], head[5]))
+                entry.ops.append(head)
                 if head[4] >= 0:
                     self.engine.result_file[head[4]][1] = NEVER
+                    entry.has_meas = True
                 entry.last_cycle = cycle + used
                 entry.q_cycles += 1
                 self.attributed += 1
@@ -632,11 +635,12 @@ class Core:
             self.entries.append(entry)
             self.open_entry = entry
             self.chain_sched = sched
+        entry.ops.extend(group)
         rf = self.engine.result_file
         for item in group:
-            entry.ops.append((item[2], item[3], item[4], item[5]))
             if item[4] >= 0:
                 rf[item[4]][1] = NEVER
+                entry.has_meas = True
         entry.last_cycle = cycle
         entry.q_cycles += 1
         if self.pot_c or self.pot_s or self.pot_f:
@@ -768,7 +772,9 @@ class Core:
         earliest = cycle * self.clock + self.depth_offset
         if sched > earliest:
             earliest = sched
-        self.injected.append((earliest, sched, gate, qubit, charged))
+        # the op as a one-op timing point of decoded quantum items
+        point = ((K_QUANTUM, 0, gate, (qubit,), -1, -1),)
+        self.injected.append((earliest, sched, point, charged))
         if earliest < self.next_pop_ns:
             self.next_pop_ns = earliest
 
@@ -821,30 +827,34 @@ class Core:
             engine.violations.append((core_id, local, actual))
         self.prev_actual = actual
         qpu = engine.qpu
-        rf = engine.result_file
         sched = entry.sched
         ops = entry.ops
-        for gate, qubits, rreg, pc in ops:
-            qpu.accept_issue(actual, sched, gate, qubits, core_id)
-            if rreg >= 0:
-                rf[rreg][:] = qpu.measurement_result(qubits[0], actual, pc)
+        qpu.accept_issue(actual, sched, ops, core_id)
+        if entry.has_meas:
+            # the device draws each outcome; the engine's result file holds it
+            rf = engine.result_file
+            for item in ops:
+                rreg = item[4]
+                if rreg >= 0:
+                    rf[rreg][:] = qpu.measurement_result(
+                        item[3][0], actual, item[5])
         if engine.collect_steps:
-            engine.steps.append(StepRecord(
+            engine.steps.append(tuple.__new__(StepRecord, (
                 core_id, entry.block, sched, actual, len(ops),
                 entry.q_cycles, entry.c_cycles, entry.s_cycles, entry.f_cycles,
-                actual - local))
+                actual - local, False)))
 
     def _issue_injected(self, rec: tuple, actual: int) -> None:
-        _earliest, sched, gate, qubit, budget = rec
-        self.engine.qpu.accept_issue(actual, sched, gate, (qubit,), self.core_id)
+        _earliest, sched, point, budget = rec
+        self.engine.qpu.accept_issue(actual, sched, point, self.core_id)
         if actual > sched:
             self.engine.violations.append((self.core_id, sched, actual))
         if self.engine.collect_steps:
             cq = 1 if budget >= 1 else 0
             block = self.executing if self.executing is not None else -1
-            self.engine.steps.append(StepRecord(
+            self.engine.steps.append(tuple.__new__(StepRecord, (
                 self.core_id, block, sched, actual, 1, cq, 0, 0, budget - cq,
-                actual - sched, injected=True))
+                actual - sched, True)))
 
     # ── completion ─────────────────────────────────────────────────
 

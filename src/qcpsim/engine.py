@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .blocks import build_table, to_direct_table, to_priority_table
 from .config import MachineConfig
 from .core import NEVER, Core, StepRecord, decode_for_execution
-from .isa import Diagnostic, Program, validate_program
+from .isa import Diagnostic, Program, program_hash, validate_program
 from .qpu import Collision, IssueEvent, QpuState
 from .sched import Scheduler, SchedulerEvent
 
@@ -59,9 +59,10 @@ class RunTrace:
 class PreparedProgram:
     """Validation, table construction, and lowering done once per program,
     shared by every run of that program. This is the one place on the run
-    path where a program is validated."""
+    path where a program is validated. Its `program_hash` is computed on
+    first use, once."""
 
-    __slots__ = ("program", "table", "items", "qubit_count")
+    __slots__ = ("program", "table", "items", "qubit_count", "_hash")
 
     def __init__(self, program: Program, qubit_budget: int | None = None):
         diagnostics = validate_program(program, qubit_budget)
@@ -71,6 +72,13 @@ class PreparedProgram:
         self.table = build_table(program)
         self.items = decode_for_execution(program)
         self.qubit_count = program.qubit_count
+        self._hash: str | None = None
+
+    @property
+    def program_hash(self) -> str:
+        if self._hash is None:
+            self._hash = program_hash(self.program)
+        return self._hash
 
 
 def prepare(program: Program | PreparedProgram,

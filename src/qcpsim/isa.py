@@ -9,6 +9,7 @@ processor model, not of the ISA.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
@@ -24,7 +25,7 @@ __all__ = [
     "REGISTER_COUNT", "MAX_QUBITS", "MAX_BLOCKS", "BINARY_MAGIC",
     "quantize_angle", "parse_program", "print_program",
     "encode_instruction", "decode_instruction",
-    "encode_program", "decode_program", "validate_program",
+    "encode_program", "decode_program", "program_hash", "validate_program",
 ]
 
 REGISTER_COUNT = 32   # general registers per core; also measurement-result registers
@@ -673,6 +674,11 @@ def encode_program(p: Program) -> bytes:
     words = struct.pack(f"<{n}I", *map(encode_instruction, p.instructions))
     return (BINARY_MAGIC + struct.pack("<I", len(header)) + header
             + struct.pack("<I", n) + words)
+
+
+def program_hash(p: Program) -> str:
+    """The first 16 hex digits of the sha256 of the binary encoding."""
+    return hashlib.sha256(encode_program(p)).hexdigest()[:16]
 
 
 def decode_program(data: bytes) -> Program:

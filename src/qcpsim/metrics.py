@@ -11,14 +11,13 @@ processor kept up.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .engine import RunTrace
-from .isa import Program, encode_program
+from .isa import program_hash as _program_hash
 from .qpu import IssueEvent
 
 __all__ = ["StepMetrics", "RunReport", "steps_of", "tr_of_step",
@@ -152,8 +151,9 @@ def _splice(text: str, key: str, rows: list[str]) -> str:
                         f'\n  "{key}": [\n' + ",\n".join(rows) + "\n  ]", 1)
 
 
-def program_hash(p: Program) -> str:
-    return hashlib.sha256(encode_program(p)).hexdigest()[:16]
+# the hash a report names its program by; it lives next to the encoding it
+# hashes, so that `PreparedProgram` can compute it once
+program_hash = _program_hash
 
 
 def steps_of(events: list[IssueEvent]) -> list[list[IssueEvent]]:
@@ -197,8 +197,8 @@ def build_report(trace: RunTrace, phash: str = "",
         trs = per_core_trs.get(core)
         if trs is None:
             trs = per_core_trs[core] = []
-        append(StepMetrics(core, len(trs), sched, actual, qices,
-                           cq, cc, cs, cf, ces, tr))
+        append(tuple.__new__(StepMetrics, (core, len(trs), sched, actual,
+                                           qices, cq, cc, cs, cf, ces, tr)))
         trs.append(tr)
         if tr > max_tr:
             max_tr = tr
@@ -236,12 +236,16 @@ def speedup(base: RunReport, variant: RunReport) -> float:
 def events_to_csv(events: list[IssueEvent]) -> str:
     rows = ["time_ns,gate,qubits,channel,duration_ns\n"]
     append = rows.append
-    names: dict[tuple[int, ...], str] = {}
+    # a row is its time plus a tail that repeats across the run:
+    # (gate, qubits, channel, duration_ns) -> ",gate,qubits,channel,duration\n"
+    tails: dict[tuple, str] = {}
     for time_ns, _sched, gate, qubits, channel, duration_ns, _core in events:
-        name = names.get(qubits)
-        if name is None:
-            name = names[qubits] = " ".join(f"q{q}" for q in qubits)
-        append(f"{time_ns},{gate},{name},{channel},{duration_ns}\n")
+        key = (gate, qubits, channel, duration_ns)
+        tail = tails.get(key)
+        if tail is None:
+            names = " ".join(f"q{q}" for q in qubits)
+            tail = tails[key] = f",{gate},{names},{channel},{duration_ns}\n"
+        append(f"{time_ns}{tail}")
     return "".join(rows)
 
 

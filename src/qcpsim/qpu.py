@@ -107,7 +107,7 @@ class QpuState:
 
     __slots__ = ("config", "qubit_count", "seed", "collect_events",
                  "busy_until", "events", "collisions", "event_count",
-                 "last_event_end_ns", "_streams", "_durations",
+                 "last_event_end_ns", "_streams", "_gates",
                  "_scalar_bias", "_result_latency")
 
     def __init__(self, config: QpuConfig, qubit_count: int, seed: int,
@@ -122,49 +122,73 @@ class QpuState:
         self.event_count = 0
         self.last_event_end_ns = 0
         self._streams: dict[int, SplitMix64] = {}
-        self._durations = {
+        durations = {
             "X": config.single_gate_ns, "Y": config.single_gate_ns,
             "Z": config.single_gate_ns, "H": config.single_gate_ns,
             "RX": config.single_gate_ns, "RY": config.single_gate_ns,
             "RZ": config.single_gate_ns, "CNOT": config.two_gate_ns,
             "CZ": config.two_gate_ns, "MEAS": config.meas_pulse_ns,
         }
+        # gate -> (duration, channel of qubit 0); qubit q's channel is
+        # CHANNELS_PER_QUBIT * q more, as `channel_for` gives it
+        self._gates = {gate: (ns, channel_for(gate, 0))
+                       for gate, ns in durations.items()}
         bias = config.outcome_bias
         self._scalar_bias = bias if not isinstance(bias, dict) else None
         self._result_latency = config.meas_pulse_ns + config.daq_ns
 
-    def accept_issue(self, time_ns: int, scheduled_ns: int, gate_name: str,
-                     qubits: tuple[int, ...], core: int) -> None:
-        """Log one operation and mark its qubits busy for the gate duration.
+    def accept_issue(self, time_ns: int, scheduled_ns: int, ops,
+                     core: int) -> None:
+        """Log the operations of one timing point, all issued at `time_ns`,
+        and mark each one's qubits busy for its gate duration.
 
-        Overlapping use of a busy qubit is recorded as a collision; the run
-        continues so the full schedule stays inspectable.
+        Each op is a decoded quantum item as `decode_for_execution` lowers
+        it: the gate name at index 2 and the qubit tuple at index 3. Ops take
+        effect in order, so a qubit used twice in one point collides with
+        itself. Overlapping use of a busy qubit is recorded as a collision;
+        the run continues so the full schedule stays inspectable. A qubit
+        the device does not have raises `ValueError`, leaving the point
+        partly recorded.
         """
-        duration = self._durations[gate_name]
+        gates = self._gates
         busy = self.busy_until
-        end = time_ns + duration
-        for q in qubits:
-            if q >= self.qubit_count:
-                raise ValueError(f"unknown qubit q{q}")
-            if time_ns < busy[q]:
-                self.collisions.append(
-                    Collision(q, time_ns, busy[q], gate_name))
-            busy[q] = end
-        pair = len(qubits) == 2
-        self.event_count += 2 if pair else 1
-        if end > self.last_event_end_ns:
-            self.last_event_end_ns = end
-        if self.collect_events:
-            if pair:
-                # one flux event per involved qubit, same timestamp
-                for q in qubits:
-                    self.events.append(IssueEvent(
-                        time_ns, scheduled_ns, gate_name, qubits,
-                        channel_for(gate_name, q), duration, core))
+        collect = self.collect_events
+        last_end = self.last_event_end_ns
+        count = 0
+        for op in ops:
+            gate = op[2]
+            qubits = op[3]
+            duration, channel = gates[gate]
+            end = time_ns + duration
+            for q in qubits:
+                if q >= self.qubit_count:
+                    raise ValueError(f"unknown qubit q{q}")
+                if time_ns < busy[q]:
+                    self.collisions.append(
+                        Collision(q, time_ns, busy[q], gate))
+                busy[q] = end
+            if end > last_end:
+                last_end = end
+            if len(qubits) == 2:
+                count += 2
+                if collect:
+                    # one flux event per involved qubit, same timestamp
+                    q0, q1 = qubits
+                    self.events.append(tuple.__new__(IssueEvent, (
+                        time_ns, scheduled_ns, gate, qubits,
+                        CHANNELS_PER_QUBIT * q0 + channel, duration, core)))
+                    self.events.append(tuple.__new__(IssueEvent, (
+                        time_ns, scheduled_ns, gate, qubits,
+                        CHANNELS_PER_QUBIT * q1 + channel, duration, core)))
             else:
-                self.events.append(IssueEvent(
-                    time_ns, scheduled_ns, gate_name, qubits,
-                    channel_for(gate_name, qubits[0]), duration, core))
+                count += 1
+                if collect:
+                    self.events.append(tuple.__new__(IssueEvent, (
+                        time_ns, scheduled_ns, gate, qubits,
+                        CHANNELS_PER_QUBIT * qubits[0] + channel, duration,
+                        core)))
+        self.event_count += count
+        self.last_event_end_ns = last_end
 
     def measurement_result(self, qubit: int, issue_time_ns: int,
                            program_point: int) -> tuple[int, int]:

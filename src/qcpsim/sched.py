@@ -92,6 +92,10 @@ class Scheduler:
                                f"{status.name} for block {b}")
         self.statuses[b] = status
 
+    def _record(self, cycle: int, action: str, block: int, core: int) -> None:
+        self.events.append(tuple.__new__(
+            SchedulerEvent, (cycle, action, block, core)))
+
     def ready(self, b: int) -> bool:
         return deps_satisfied(self.table, self.done_mask, self.priority_counter, b)
 
@@ -123,7 +127,7 @@ class Scheduler:
             core.slots[0] = i
             core.slot_loaded[0] = True
             self._set_status(i, BlockStatus.PREFETCH)
-            self.events.append(SchedulerEvent(0, "preload", i, i))
+            self._record(0, "preload", i, i)
         self.dirty = True
 
     def tick(self, now: int) -> None:
@@ -136,7 +140,7 @@ class Scheduler:
                 core.start_block(b, slot, finish,
                                  self.table.entries[b].pc_start,
                                  self.table.entries[b].pc_end)
-                self.events.append(SchedulerEvent(now, "start", b, c))
+                self._record(now, "start", b, c)
             self.dirty = True
 
         if not self.dirty:
@@ -160,7 +164,7 @@ class Scheduler:
                     core.begin_switch(b, slot, start,
                                       self.table.entries[b].pc_start,
                                       self.table.entries[b].pc_end)
-                    self.events.append(SchedulerEvent(now, "switch", b, core.core_id))
+                    self._record(now, "switch", b, core.core_id)
                     break
 
         if now < self.busy_until or self.transfer is not None:
@@ -222,7 +226,7 @@ class Scheduler:
         self._set_status(b, BlockStatus.IN_EXECUTION)
         self.transfer = ("alloc", b, target.core_id, slot, finish)
         self.busy_until = finish
-        self.events.append(SchedulerEvent(now, "alloc", b, target.core_id))
+        self._record(now, "alloc", b, target.core_id)
         return True
 
     def _try_prefetch(self, now: int) -> bool:
@@ -246,7 +250,7 @@ class Scheduler:
         target.slot_loaded[slot] = False
         self._set_status(b, BlockStatus.PREFETCH)
         self.transfer = ("prefetch", b, target.core_id, slot, finish)
-        self.events.append(SchedulerEvent(now, "prefetch", b, target.core_id))
+        self._record(now, "prefetch", b, target.core_id)
         return True
 
     def notify_done(self, b: int, core, now: int) -> None:
@@ -266,6 +270,6 @@ class Scheduler:
             while counter <= self._max_prio and remaining.get(counter, 0) == 0:
                 counter += 1
             self.priority_counter = counter
-        self.events.append(SchedulerEvent(now, "done", b, core.core_id))
+        self._record(now, "done", b, core.core_id)
         self.block_spans.append((b, core.core_id, core.exec_start_cycle, now))
         self.dirty = True

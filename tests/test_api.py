@@ -2,6 +2,7 @@
 defines has a reader, and every name a module imports is read there."""
 
 import ast
+import importlib
 import re
 from collections import Counter
 from pathlib import Path
@@ -99,3 +100,44 @@ def test_no_unused_imports():
             module = ast.parse(path.read_text(), str(path))
             unused += [f"{path.stem}.{name}" for name in _unread_imports(module)]
     assert unused == []
+
+
+def _is_tuple_new(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "__new__"
+            and isinstance(node.value, ast.Name) and node.value.id == "tuple")
+
+
+def test_direct_record_construction_is_complete():
+    # `tuple.__new__(Cls, (...))` builds a named tuple without running its
+    # `__new__`, so no field default applies: every one must be passed
+    built = set()
+    bad = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = ast.parse(path.read_text(), str(path))
+        namespace = vars(importlib.import_module(f"qcpsim.{path.stem}"))
+        calls = {id(node.func) for node in ast.walk(module)
+                 if isinstance(node, ast.Call)}
+        for node in ast.walk(module):
+            if _is_tuple_new(node) and id(node) not in calls:
+                bad.append(f"{path.stem}:{node.lineno}: not called directly")
+            if not (isinstance(node, ast.Call) and _is_tuple_new(node.func)):
+                continue
+            where = f"{path.stem}:{node.lineno}"
+            if len(node.args) != 2 or node.keywords \
+                    or not isinstance(node.args[0], ast.Name):
+                bad.append(f"{where}: not tuple.__new__(Cls, (...))")
+                continue
+            cls = namespace.get(node.args[0].id)
+            fields = getattr(cls, "_fields", None)
+            if not (isinstance(cls, type) and issubclass(cls, tuple)
+                    and fields is not None):
+                bad.append(f"{where}: {node.args[0].id} is not a NamedTuple")
+                continue
+            built.add(cls.__name__)
+            if not (isinstance(node.args[1], ast.Tuple)
+                      and len(node.args[1].elts) == len(fields)):
+                bad.append(f"{where}: {cls.__name__} needs a literal tuple "
+                           f"of {len(fields)} items")
+    assert bad == []
+    assert built == {"IssueEvent", "StepRecord", "StepMetrics",
+                     "SchedulerEvent"}

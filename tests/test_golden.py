@@ -14,7 +14,8 @@ import hashlib
 
 import pytest
 
-from qcpsim import (Engine, MachineConfig, QpuConfig, build_report,
+from qcpsim import (Engine, IssueEvent, MachineConfig, QpuConfig,
+                    SchedulerEvent, StepMetrics, StepRecord, build_report,
                     events_to_csv, gen_active_reset_plus_rb, gen_dense,
                     gen_parallel_rus, gen_steane_syndrome, program_hash,
                     steps_to_csv)
@@ -176,3 +177,30 @@ def programs():
 def test_golden_digest(case, programs):
     name, config = CASES[case]
     assert digests(programs[name], config) == GOLDEN[case]
+
+
+# every golden case, and one whose conditional reset issues an injected op
+# (a `StepRecord` with `injected=True`), which no golden case does
+RECORD_CASES = dict(CASES)
+RECORD_CASES["reset200-bias1"] = (
+    "reset200", MachineConfig(superscalar_width=4, seed=1,
+                              qpu=QpuConfig(outcome_bias=1.0)))
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_CASES))
+def test_records_are_their_named_tuples(case, programs):
+    # the run path builds records with `tuple.__new__`; each must still be
+    # an instance of its class, equal to one the constructor builds
+    name, config = RECORD_CASES[case]
+    trace = Engine(programs[name], config).run()
+    if case == "reset200-bias1":
+        assert any(step.injected for step in trace.steps)
+    report = build_report(trace, program_hash(programs[name]))
+    for cls, records in ((IssueEvent, trace.events),
+                         (StepRecord, trace.steps),
+                         (SchedulerEvent, trace.scheduler_events),
+                         (StepMetrics, report.steps)):
+        assert records
+        for x in records:
+            assert type(x) is cls
+            assert x == cls(*x)

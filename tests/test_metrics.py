@@ -238,3 +238,26 @@ def test_serializers_match_reference_flux_pairs():
     assert "q0 q3" in events_to_csv(trace.events)
     _assert_serializers_match(build_report(trace, program_hash(p)),
                               trace.events)
+
+
+def test_serializers_match_reference_dense_width8():
+    # every row of a long dense run shares its gate, qubit, channel and
+    # duration with many others: only the time is new
+    p, trace = run(gen_dense(8, 300), width=8)
+    assert len(trace.events) == 2400
+    assert len({e[2:6] for e in trace.events}) <= 16
+    _assert_serializers_match(build_report(trace, program_hash(p)),
+                              trace.events)
+
+
+def test_serializers_match_reference_meas():
+    # a measurement row differs from a gate row on the same qubit in its
+    # channel and duration only
+    p, trace = run("0 H q0\n0 H q1\n1 MEAS q0 -> r0\n0 MEAS q1 -> r1\n"
+                   "30 X q0\n0 X q1\n1 MEAS q0 -> r2\n", width=4, bias=0.5)
+    rows = events_to_csv(trace.events).splitlines()[1:]
+    assert sorted({row.split(",", 1)[1] for row in rows}) == [
+        "H,q0,0,20", "H,q1,3,20", "MEAS,q0,2,300", "MEAS,q1,5,300",
+        "X,q0,0,20", "X,q1,3,20"]
+    _assert_serializers_match(build_report(trace, program_hash(p)),
+                              trace.events)

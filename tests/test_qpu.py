@@ -1,11 +1,19 @@
 """Device model: occupancy, seeded outcomes, channels."""
 
 import random
+from collections import Counter
 
 import pytest
 
-from qcpsim.qpu import (CHANNELS_PER_QUBIT, QpuConfig, QpuState, SplitMix64,
-                        channel_for)
+from qcpsim.core import K_QUANTUM
+from qcpsim.qpu import (CHANNELS_PER_QUBIT, Collision, IssueEvent, QpuConfig,
+                        QpuState, SplitMix64, channel_for)
+
+
+def _op(gate: str, qubits: tuple[int, ...]) -> tuple:
+    """One operation as `decode_for_execution` lowers it, with no result
+    register."""
+    return (K_QUANTUM, 0, gate, qubits, -1, 0)
 
 
 def test_splitmix64_reference_vector():
@@ -89,23 +97,23 @@ def test_jitter_extends_readiness():
 
 def test_back_to_back_gates_legal():
     q = QpuState(QpuConfig(), 1, 1)
-    q.accept_issue(0, 0, "H", (0,), 0)
-    q.accept_issue(20, 20, "X", (0,), 0)
+    q.accept_issue(0, 0, [_op("H", (0,))], 0)
+    q.accept_issue(20, 20, [_op("X", (0,))], 0)
     assert q.collisions == []
 
 
 def test_overlap_is_collision():
     q = QpuState(QpuConfig(), 2, 1)
-    q.accept_issue(0, 0, "H", (0,), 0)
-    q.accept_issue(10, 10, "CZ", (0, 1), 0)
+    q.accept_issue(0, 0, [_op("H", (0,))], 0)
+    q.accept_issue(10, 10, [_op("CZ", (0, 1))], 0)
     assert len(q.collisions) == 1
     assert q.collisions[0].qubit == 0
 
 
 def test_simultaneous_different_qubits_legal():
     q = QpuState(QpuConfig(), 2, 1)
-    q.accept_issue(0, 0, "H", (0,), 0)
-    q.accept_issue(0, 0, "H", (1,), 0)
+    q.accept_issue(0, 0, [_op("H", (0,))], 0)
+    q.accept_issue(0, 0, [_op("H", (1,))], 0)
     assert q.collisions == []
 
 
@@ -130,14 +138,14 @@ def test_collision_against_interval_oracle():
                 expected += 1
             busy[qubit] = t_i + dur
         for t_i, gate, qubit in schedule:
-            q.accept_issue(t_i, t_i, gate, (qubit,), 0)
+            q.accept_issue(t_i, t_i, [_op(gate, (qubit,))], 0)
         assert len(q.collisions) == expected
 
 
 def test_unknown_qubit_rejected():
     q = QpuState(QpuConfig(), 2, 1)
     with pytest.raises(ValueError):
-        q.accept_issue(0, 0, "H", (5,), 0)
+        q.accept_issue(0, 0, [_op("H", (5,))], 0)
 
 
 def test_channel_map():
@@ -155,6 +163,78 @@ def test_channel_map():
 
 def test_pair_gate_emits_event_per_qubit():
     q = QpuState(QpuConfig(), 2, 1)
-    q.accept_issue(0, 0, "CZ", (0, 1), 0)
+    q.accept_issue(0, 0, [_op("CZ", (0, 1))], 0)
     assert [e.channel for e in q.events] == [1, 4]
     assert all(e.time_ns == 0 for e in q.events)
+
+
+class _PerOpDevice:
+    """Oracle for `QpuState.accept_issue`: the device model taking one
+    operation at a time, with every channel from `channel_for`."""
+
+    def __init__(self, config: QpuConfig, qubit_count: int):
+        self.durations = {g: config.single_gate_ns
+                          for g in ("X", "Y", "Z", "H", "RX", "RY", "RZ")}
+        self.durations.update(CNOT=config.two_gate_ns, CZ=config.two_gate_ns,
+                              MEAS=config.meas_pulse_ns)
+        self.busy_until = [0] * qubit_count
+        self.events = []
+        self.collisions = []
+        self.event_count = 0
+        self.last_event_end_ns = 0
+
+    def accept_op(self, time_ns, scheduled_ns, gate, qubits, core):
+        duration = self.durations[gate]
+        end = time_ns + duration
+        for q in qubits:
+            if time_ns < self.busy_until[q]:
+                self.collisions.append(
+                    Collision(q, time_ns, self.busy_until[q], gate))
+            self.busy_until[q] = end
+        self.event_count += len(qubits)
+        self.last_event_end_ns = max(self.last_event_end_ns, end)
+        for q in qubits:
+            self.events.append(IssueEvent(time_ns, scheduled_ns, gate, qubits,
+                                          channel_for(gate, q), duration,
+                                          core))
+
+
+@pytest.mark.parametrize("collect", [True, False])
+def test_point_accept_matches_per_op_oracle(collect):
+    rng = random.Random(9)
+    cfg = QpuConfig()
+    single = ["X", "Y", "Z", "H", "RX", "RY", "RZ", "MEAS"]
+    kinds = Counter()
+    for _ in range(40):
+        device = QpuState(cfg, 3, 1, collect_events=collect)
+        oracle = _PerOpDevice(cfg, 3)
+        t = 0
+        for _ in range(30):
+            t += rng.choice([0, 10, 20, 40, 300])
+            sched = t - rng.randrange(0, 30)
+            core = rng.randrange(2)
+            point = []
+            for _ in range(rng.randrange(1, 5)):
+                if rng.random() < 0.3:
+                    gate = rng.choice(["CNOT", "CZ"])
+                    qubits = tuple(rng.sample(range(3), 2))
+                else:
+                    gate = rng.choice(single)
+                    qubits = (rng.randrange(3),)
+                point.append(_op(gate, qubits))
+            used = [q for op in point for q in op[3]]
+            kinds["pair"] += any(len(op[3]) == 2 for op in point)
+            kinds["meas"] += any(op[2] == "MEAS" for op in point)
+            kinds["twice"] += len(used) != len(set(used))
+            device.accept_issue(t, sched, point, core)
+            for op in point:
+                oracle.accept_op(t, sched, op[2], op[3], core)
+        assert device.events == (oracle.events if collect else [])
+        assert all(type(e) is IssueEvent for e in device.events)
+        assert device.collisions == oracle.collisions
+        assert device.busy_until == oracle.busy_until
+        assert device.event_count == oracle.event_count
+        assert device.last_event_end_ns == oracle.last_event_end_ns
+    # the random points cover two-qubit gates, measurements and a qubit
+    # used twice in one point
+    assert min(kinds.values()) > 50, kinds

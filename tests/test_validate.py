@@ -1,5 +1,7 @@
-"""Static validation: exact diagnostics, and how often the run path validates."""
+"""Static validation: exact diagnostics, and how often the run path validates
+and hashes a program."""
 
+import json
 import sys
 
 import pytest
@@ -217,23 +219,32 @@ def test_cli_run_same_range_blocks_exits_1(tmp_path, capsys):
 
 # ── validations per run ─────────────────────────────────────────────
 
-@pytest.fixture
-def validate_calls(monkeypatch):
-    """Count `validate_program` calls through every binding in the package."""
+def _count_calls(monkeypatch, name: str) -> list:
+    """Count calls of `isa.<name>` through every binding in the package."""
     calls = []
-    orig = isa.validate_program
+    orig = getattr(isa, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return orig(*args, **kwargs)
 
-    for name, mod in list(sys.modules.items()):
-        if name == "qcpsim" or name.startswith("qcpsim."):
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "qcpsim" or mod_name.startswith("qcpsim."):
             for attr, value in list(vars(mod).items()):
                 if value is orig:
                     monkeypatch.setattr(mod, attr, counting)
-    assert qcpsim.validate_program is counting
+    assert getattr(qcpsim, name) is counting
     return calls
+
+
+@pytest.fixture
+def validate_calls(monkeypatch):
+    return _count_calls(monkeypatch, "validate_program")
+
+
+@pytest.fixture
+def encode_calls(monkeypatch):
+    return _count_calls(monkeypatch, "encode_program")
 
 
 def test_engine_validates_once(validate_calls):
@@ -251,6 +262,41 @@ def test_sweep_cores_validates_once(validate_calls):
     out = sweep_cores(spec, MachineConfig(), [1, 2, 4, 6])
     assert sorted(out) == [1, 2, 4, 6]
     assert len(validate_calls) == 1
+
+
+def test_prepared_program_hashes_once(encode_calls):
+    p = gen_parallel_rus(2)
+    prepared = PreparedProgram(p)
+    assert encode_calls == []           # computed on first use
+    first = prepared.program_hash
+    assert prepared.program_hash == first
+    assert len(encode_calls) == 1
+    assert first == qcpsim.program_hash(p)
+
+
+def test_sweep_cores_hashes_once(encode_calls):
+    spec = ExperimentSpec(gen_parallel_rus(2), repetitions=2, bias=0.1)
+    out = sweep_cores(spec, MachineConfig(), [1, 2, 4, 6])
+    assert len({r.program_hash for r in out.values()}) == 1
+    assert len(encode_calls) == 1
+
+
+def test_cli_bench_ideal_hashes_once(encode_calls, capsys):
+    # four sweep cells and four ideal runs share one prepared program
+    assert cli.main(["bench", "parallel_rus", "n=2", "--cores", "1,2,4,6",
+                     "--seeds", "2", "--ideal"]) == cli.EXIT_OK
+    assert "ideal_speedup" in capsys.readouterr().out
+    assert len(encode_calls) == 1
+
+
+def test_cli_run_hashes_once(encode_calls, tmp_path, capsys):
+    asm = tmp_path / "prog.qasm"
+    asm.write_text("0 H q0\n2 MEAS q0 -> r0\nFMR r1, r0\nEND\n")
+    assert cli.main(["run", str(asm)]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert len(encode_calls) == 1
+    phash = qcpsim.program_hash(parse_program(asm.read_text()))
+    assert report["program_hash"] == phash
 
 
 def test_cli_run_validates_once(validate_calls, tmp_path, capsys):
