@@ -16,10 +16,24 @@ instruction ends the open point where it stands in program order (after the
 older quantum work dispatched with it, before the younger), a stalled or
 held-back head releases it, and so does the end of the block's stream.
 
-Each result register is a `[value, ready_ns]` pair: a measurement's result
-is readable from `ready_ns` on. `NEVER` marks a register no issued
-measurement has filled, including one whose producing measurement has been
-dispatched but not yet issued.
+Every dispatch cycle follows one rule: `_pick_classical` chooses the
+cycle's classical instruction, if any, and `_dispatch_picked` dispatches it
+with the quantum group beside it. `_dispatch_classical_alone` and
+`_dispatch_quantum` are fast paths of that rule for a buffer with nothing to
+choose: a classical head with no quantum follower, and quantum work alone.
+`_dispatch_quantum` may run several cycles in one call, but only cycles the
+rule would spend the same way, and only up to `_horizon`: until then no
+other core acts and no block starts, so nothing else can see that the
+cycles ran early. Tests replace either fast path by the rule and compare
+every output.
+
+Each result register is a `[value, ready_ns, producers]` list: a
+measurement's result is readable from `ready_ns` on, and `producers` counts
+its dispatched measurements that have not issued yet. A register with any
+such producer reads as not ready (`ready_ns` is `NEVER`); an issuing
+measurement writes its result only when it is the last producer in flight,
+so an older result never shows through a younger measurement. `NEVER` also
+marks a register no measurement has filled yet.
 
 The simulation collapses the pipeline stages into one pass per cycle;
 pipeline depth appears as a constant offset on issue readiness, never as
@@ -157,7 +171,7 @@ class Core:
         "fb_mode", "pot_c", "pot_s", "pot_f",
         "exec_start_cycle", "attributed", "result_wait_cycles",
         "drain_cycles", "stall_reason", "last_seen", "next_pop_ns",
-        "next_call",
+        "next_call", "shared", "inflight",
     )
 
     def __init__(self, core_id: int, engine, width: int):
@@ -219,6 +233,10 @@ class Core:
         self.last_seen = -1
         self.next_pop_ns = NEVER
         self.next_call = 0
+        # other cores share the result file and the device
+        self.shared = engine.config.cores > 1
+        # this core's dispatched, unissued measurements of each register
+        self.inflight = [0] * len(engine.result_file)
 
     # ── block lifecycle ────────────────────────────────────────────
 
@@ -291,7 +309,6 @@ class Core:
         self.last_seen = cycle
 
         now_ns = cycle * self.clock
-        wake: int | None = None
         eff = cycle
 
         if self.ctx_pause > 0:
@@ -311,7 +328,7 @@ class Core:
             else:
                 self.pot_s += 1
         elif self.fmr_wait is not None:
-            wake = self._check_fmr(cycle, now_ns)
+            self._check_fmr(cycle, now_ns)
         else:
             extra = self._dispatch(cycle, now_ns)
             if extra:
@@ -326,8 +343,6 @@ class Core:
                 and self._block_complete(eff):
             self._finish_block(eff)
             return None
-        if wake is not None:
-            return wake
         if eff > cycle:
             return eff + 1
         if self.stall_reason is None and (not self.stream_ended or self.pending):
@@ -349,7 +364,7 @@ class Core:
         rf = self.engine.result_file
         resolved_free = False
         for i, ctx in enumerate(self.mrce_contexts):
-            value, ready = rf[ctx.result_reg]
+            value, ready, _ = rf[ctx.result_reg]
             if ready <= now_ns:
                 self._ctx_resolving = (ctx, value, ready)
                 del self.mrce_contexts[i]
@@ -376,6 +391,8 @@ class Core:
         ctx, value, ready = self._ctx_resolving
         self._ctx_resolving = None
         self.scoreboard.discard(ctx.target)
+        # the freed qubit may let a held-back head dispatch next cycle
+        self.stall_reason = None
         op = ctx.op1 if value else ctx.op0
         pot = self._ctx_pot
         self._ctx_pot = 0
@@ -386,9 +403,9 @@ class Core:
 
     # ── classical stall handling ───────────────────────────────────
 
-    def _check_fmr(self, cycle: int, now_ns: int) -> int | None:
+    def _check_fmr(self, cycle: int, now_ns: int) -> None:
         reg, rd, start = self.fmr_wait
-        value, ready = self.engine.result_file[reg]
+        value, ready, _ = self.engine.result_file[reg]
         if ready <= now_ns:
             waited = cycle - start
             self.result_wait_cycles += waited
@@ -399,66 +416,31 @@ class Core:
             self.pot_f += 1          # the latch cycle starts the conditional work
             self.attributed += 1
             self.stall_reason = None
-            return None
-        self.stall_reason = "result wait"
-        if ready != NEVER:
-            return -(-ready // self.clock)
-        return None  # pending or never produced; the watchdog covers the latter
+        else:
+            # `_queue_wake` wakes the core when the register becomes ready
+            self.stall_reason = "result wait"
 
     # ── dispatch ───────────────────────────────────────────────────
 
-    def _dispatch(self, cycle: int, now_ns: int) -> int:
+    def _fill(self) -> None:
+        """Top the buffer up with the block's next instructions, at most one
+        issue width of them, once it holds fewer than that."""
         pending = self.pending
-        width = self.width
-        items = self.engine.items
-        end = self.pc_end + 1
-        # straight-line quantum work has no data dependences on this cycle's
-        # classical state; batch it through in one pass, one group per cycle.
-        # Dispatch cannot open a context or mark the scoreboard, so whether
-        # the batch may run is decided once.
-        batch = not self.mrce_contexts and not self.scoreboard
-        used = 0
-        while True:
-            if not self.stream_ended and len(pending) < width:
-                pc = self.pc
-                n = end - pc
-                if n > width:
-                    n = width
-                pending.extend(items[pc:pc + n])
-                self.pc = pc + n
-                if self.pc >= end:
-                    self.stream_ended = True
-            if not (batch and pending and pending[0][0] == K_QUANTUM):
-                break
-            head = pending[0]
-            glen = len(pending)
-            if glen > width:
-                glen = width
-            for i in range(1, glen):
-                nxt = pending[i]
-                if nxt[0] != K_QUANTUM or nxt[1] != 0:
-                    glen = i
-                    break
-            entry = self.open_entry
-            if glen == 1 and head[1] == 0 and entry is not None \
-                    and not (self.pot_c or self.pot_s or self.pot_f):
-                # label-0 follower joins the open timing point directly
-                del pending[0]
-                entry.ops.append(head)
-                if head[4] >= 0:
-                    self.engine.result_file[head[4]][1] = NEVER
-                    entry.has_meas = True
-                entry.last_cycle = cycle + used
-                entry.q_cycles += 1
-                self.attributed += 1
-            else:
-                group = pending[:glen]
-                del pending[:glen]
-                self._dispatch_group(group, cycle + used)
-            used += 1
-        if used:
-            return used - 1
+        if not self.stream_ended and len(pending) < self.width:
+            pc = self.pc
+            end = self.pc_end + 1
+            n = end - pc
+            if n > self.width:
+                n = self.width
+            pending.extend(self.engine.items[pc:pc + n])
+            self.pc = pc + n
+            if self.pc >= end:
+                self.stream_ended = True
 
+    def _dispatch(self, cycle: int, now_ns: int) -> int:
+        self.stall_reason = None    # set again if this cycle stalls
+        self._fill()
+        pending = self.pending
         if not pending:
             self.drain_cycles += 1
             self.attributed += 1
@@ -471,8 +453,94 @@ class Core:
             if len(pending) == 1 or pending[1][0] != K_QUANTUM:
                 return self._dispatch_classical_alone(cycle, now_ns)
             return self._dispatch_picked(0, 0, cycle, now_ns)
+        if not self.scoreboard:
+            for item in pending:
+                if item[0] != K_QUANTUM:
+                    break
+            else:
+                return self._dispatch_quantum(cycle)
         return self._dispatch_picked(*self._pick_classical(pending, now_ns),
                                      cycle, now_ns)
+
+    def _dispatch_quantum(self, cycle: int) -> int:
+        """`_dispatch_picked` for a buffer of quantum work only and an empty
+        scoreboard: the cycle dispatches the leading group.
+
+        This is the fast path of the one dispatch rule. It goes on to run
+        the cycles after `cycle` in the same call, one group each, while the
+        general rule would do just that in each of them (the buffer holds
+        only quantum work, and with the scoreboard empty no conditional
+        context is open to resolve), up to `_horizon`. Timing points that
+        fall due in those cycles issue when the call returns. Returns how
+        many cycles it ran past `cycle`.
+        """
+        pending = self.pending
+        width = self.width
+        items = self.engine.items
+        end = self.pc_end + 1
+        last = self._horizon(cycle)
+        x = cycle
+        while True:
+            glen = len(pending)
+            if glen > width:
+                glen = width
+            for i in range(1, glen):
+                if pending[i][1] != 0:
+                    glen = i
+                    break
+            group = pending[:glen]
+            del pending[:glen]
+            self._dispatch_group(group, x)
+            if x == last:
+                return x - cycle
+            if len(pending) < width and not self.stream_ended:
+                # `_fill` inline, as it runs once per cycle here; when it
+                # would bring in a classical, MRCE or END instruction,
+                # `_dispatch` takes the next cycle instead
+                pc = self.pc
+                n = end - pc
+                if n > width:
+                    n = width
+                fetched = items[pc:pc + n]
+                for item in fetched:
+                    if item[0] != K_QUANTUM:
+                        return x - cycle
+                pending.extend(fetched)
+                self.pc = pc + n
+                if self.pc >= end:
+                    self.stream_ended = True
+            if not pending:
+                return x - cycle
+            x += 1
+
+    def _horizon(self, cycle: int) -> int:
+        """The last cycle this core may run ahead to in a call at `cycle`.
+
+        Up to it no other core acts and the scheduler starts no block, so
+        no other part of the machine can read or write the shared result
+        registers, the device or the run's records in between, and the
+        cycles give the same outputs as when each runs in its own turn.
+        """
+        engine = self.engine
+        active = engine.active_cores
+        last = NEVER
+        if len(active) < len(engine.cores):
+            # a tick can start a block on an idle core; the engine ticks the
+            # next cycle while the scheduler is dirty, else when its
+            # transfer lands
+            sched = engine.scheduler
+            if sched.dirty:
+                return cycle
+            if sched.transfer is not None:
+                last = sched.transfer[4] - 1
+        me = self.core_id
+        for core in active:
+            if core is not self:
+                # a lower-numbered core acts before this one in a cycle
+                n = core.next_call - 1 if core.core_id < me else core.next_call
+                if n < last:
+                    last = n
+        return last if last > cycle else cycle
 
     def _dispatch_picked(self, cl_idx: int, barrier: int, cycle: int,
                          now_ns: int) -> int:
@@ -557,8 +625,7 @@ class Core:
             # or a result read behind its producing measurement
             self.attributed += 1
             self.result_wait_cycles += 1
-            if blocked:
-                self.stall_reason = "scoreboard"
+            self.stall_reason = "scoreboard" if blocked else "result wait"
             self._close_point(cycle)
         return 0
 
@@ -636,10 +703,13 @@ class Core:
             self.open_entry = entry
             self.chain_sched = sched
         entry.ops.extend(group)
-        rf = self.engine.result_file
         for item in group:
-            if item[4] >= 0:
-                rf[item[4]][1] = NEVER
+            r = item[4]
+            if r >= 0:
+                reg = self.engine.result_file[r]
+                reg[1] = NEVER
+                reg[2] += 1
+                self.inflight[r] += 1
                 entry.has_meas = True
         entry.last_cycle = cycle
         entry.q_cycles += 1
@@ -650,7 +720,6 @@ class Core:
             self.pot_c = self.pot_s = self.pot_f = 0
         self.attributed += 1
         self.fb_mode = False
-        self.stall_reason = None
 
     def _execute_classical_op(self, item: tuple, cycle: int,
                               now_ns: int) -> tuple[bool, bool]:
@@ -658,7 +727,7 @@ class Core:
         op = item[1]
         if op == _OP_FMR:
             reg = item[8]
-            value, ready = self.engine.result_file[reg]
+            value, ready, _ = self.engine.result_file[reg]
             if ready <= now_ns:
                 self._write_reg(item[2], value)
                 self.fb_mode = True
@@ -724,7 +793,7 @@ class Core:
         inject, `(sched, gate, qubit)`, when the result is already readable,
         else stores a context. Cycle attribution is the caller's concern."""
         reg, target = item[1], item[2]
-        value, ready = self.engine.result_file[reg]
+        value, ready, _ = self.engine.result_file[reg]
         anchor = self.chain_sched if self.chain_sched >= 0 else self.anchor
         if ready <= now_ns:
             op = item[4] if value else item[3]
@@ -831,13 +900,21 @@ class Core:
         ops = entry.ops
         qpu.accept_issue(actual, sched, ops, core_id)
         if entry.has_meas:
-            # the device draws each outcome; the engine's result file holds it
+            # the device draws each outcome; the engine's result file holds
+            # it once no younger dispatched measurement of the register is
+            # still waiting to issue
             rf = engine.result_file
             for item in ops:
                 rreg = item[4]
                 if rreg >= 0:
-                    rf[rreg][:] = qpu.measurement_result(
+                    value, ready = qpu.measurement_result(
                         item[3][0], actual, item[5])
+                    reg = rf[rreg]
+                    reg[2] -= 1
+                    self.inflight[rreg] -= 1
+                    if not reg[2]:
+                        reg[0] = value
+                        reg[1] = ready
         if engine.collect_steps:
             engine.steps.append(tuple.__new__(StepRecord, (
                 core_id, entry.block, sched, actual, len(ops),
@@ -887,16 +964,26 @@ class Core:
     # ── wake hinting for the event-skipping engine ─────────────────
 
     def _queue_wake(self, cycle: int) -> int | None:
+        """The next cycle anything this stalled or draining core waits on can
+        change: a queued issue, or a result register it reads becoming
+        ready. None asks for the next cycle."""
         if self.ctx_pause or self.redirect_penalty:
             return None
-        best = self.next_pop_ns
         rf = self.engine.result_file
-        for ctx in self.mrce_contexts:
-            ready = rf[ctx.result_reg][1]
-            if ready < best:
-                best = ready
+        regs = [ctx.result_reg for ctx in self.mrce_contexts]
         if self.fmr_wait is not None:
-            ready = rf[self.fmr_wait[0]][1]
+            regs.append(self.fmr_wait[0])
+        # an FMR held behind quantum work until its register is ready
+        regs += [item[8] for item in self.pending
+                 if item[0] == K_CLASSICAL and item[1] == _OP_FMR]
+        best = self.next_pop_ns
+        for reg in regs:
+            _, ready, producers = rf[reg]
+            if (ready == NEVER and self.shared
+                    and not 0 < producers == self.inflight[reg]):
+                # only when its producers are all this core's own do they
+                # fill it at one of its issues; else poll each cycle
+                return None
             if ready < best:
                 best = ready
         if best == NEVER:

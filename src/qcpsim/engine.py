@@ -117,7 +117,8 @@ class Engine:
         self.qpu = QpuState(config.qpu, max(qubit_count, 1), config.seed,
                             collect_events=config.collect_events)
 
-        self.result_file = [[0, NEVER] for _ in range(RESULT_REGS)]
+        # [value, ready_ns, dispatched measurements not yet issued]
+        self.result_file = [[0, NEVER, 0] for _ in range(RESULT_REGS)]
         self.shared_regs = [0] * SHARED_REGS
         self.collect_steps = config.collect_steps
         self.steps: list[StepRecord] = []

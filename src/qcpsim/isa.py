@@ -722,12 +722,17 @@ def _block_where(d: BlockDirective) -> str:
     return f"line {d.src_line}" if d.src_line else f"block {d.name}"
 
 
+def _qubit_list(qubits: tuple[int, ...]) -> str:
+    return ", ".join(f"q{q}" for q in qubits) or "none"
+
+
 def validate_program(p: Program, qubit_budget: int | None = None) -> list[Diagnostic]:
     """Static checks; an empty list means the program is runnable.
 
     Instructions are walked once. The walk reports qubit range errors and
-    collects measurement producers plus the pcs of branches and result
-    readers, which the block and def-use checks then visit on their own.
+    quantum instructions whose qubits do not fit their gate, and collects
+    measurement producers plus the pcs of branches and result readers, which
+    the block and def-use checks then visit on their own.
     """
     out: list[Diagnostic] = []
     instructions = p.instructions
@@ -741,6 +746,7 @@ def validate_program(p: Program, qubit_budget: int | None = None) -> list[Diagno
     budget = qubit_budget if qubit_budget else p.qubit_count
     quantum, classical, mrce = Kind.QUANTUM, Kind.CLASSICAL, Kind.MRCE
     meas, fmr, br, jmp = Gate.MEAS, ClassicalOp.FMR, ClassicalOp.BR, ClassicalOp.JMP
+    cnot, cz = Gate.CNOT, Gate.CZ
     produced: set[int] = set()
     branches: list[int] = []
     readers: list[int] = []     # FMR and MRCE
@@ -751,8 +757,21 @@ def validate_program(p: Program, qubit_budget: int | None = None) -> list[Diagno
                 out.append(Diagnostic(_ins_where(pc, ins),
                                       f"qubit q{q} out of range ({budget})"))
         if kind == quantum:
-            if ins.gate == meas:
+            gate = ins.gate
+            if gate == meas:
                 produced.add(ins.result_reg)
+            qubits = ins.qubits
+            if gate == cnot or gate == cz:
+                if len(qubits) != 2 or qubits[0] == qubits[1]:
+                    out.append(Diagnostic(
+                        _ins_where(pc, ins),
+                        f"{Gate(gate).name} takes two distinct qubits, got "
+                        f"{_qubit_list(qubits)}"))
+            elif len(qubits) != 1:
+                out.append(Diagnostic(
+                    _ins_where(pc, ins),
+                    f"{Gate(gate).name} takes one qubit, got "
+                    f"{_qubit_list(qubits)}"))
         elif kind == classical:
             op = ins.classical_op
             if op == br or op == jmp:

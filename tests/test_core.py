@@ -2,16 +2,20 @@
 
 import gc
 import json
+import re
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcpsim.bench import (gen_active_reset_plus_rb, gen_dense, gen_feedforward,
-                          gen_parallel_rus, gen_steane_syndrome)
+from qcpsim.bench import (BENCHMARKS, gen_active_reset_plus_rb, gen_dense,
+                          gen_feedforward, gen_parallel_rus,
+                          gen_steane_syndrome, make_benchmark)
 from qcpsim.config import MachineConfig
 from qcpsim.core import K_CLASSICAL, Core
 from qcpsim.engine import Engine, RuntimeFault
-from qcpsim.isa import parse_program
+from qcpsim.isa import parse_program, validate_program
 from qcpsim.metrics import build_report
 
 
@@ -71,8 +75,8 @@ def test_branch_dispatches_with_quantum_group():
     assert q_steps[0].cycles_stall == 0
 
 
-# the open conditional context turns the quantum batch path off, so the LDI
-# shares dispatch cycles with quantum work at widths above 1
+# the open conditional context keeps q0 on the scoreboard; at widths above 1
+# the LDI is dispatched in the same cycle as the quantum work before it
 SPLIT_PROBE = "\n".join([
     ".qubits 8", "0 MEAS q0 -> r0", "MRCE r0, q0, NOP, X", "2 H q1",
     "0 H q2", "0 H q3", "0 H q4", "0 H q5", "LDI r1, 1", "{tail}", "END",
@@ -359,13 +363,16 @@ def test_shared_register_read_sees_earlier_cycles_only():
 
 
 def _canonical(trace):
+    # total cycles, result-wait and drain cycles are in the report
     report = build_report(trace).to_dict()
     report["steps"] = sorted(report["steps"], key=lambda s: (
         s["core"], s["scheduled_ns"], s["step"]))
     report["violations"] = sorted(report["violations"])
     report["context_switches"] = sorted(report["context_switches"])
     return (json.dumps(report, sort_keys=True), sorted(trace.events),
-            trace.total_cycles)
+            sorted((c.qubit, c.time_ns, c.busy_until_ns, c.gate)
+                   for c in trace.collisions),
+            sorted(trace.scheduler_events), sorted(trace.block_spans))
 
 
 def _differential_configs():
@@ -381,22 +388,71 @@ def _differential_configs():
     return configs
 
 
+def _outcome(program, cfg):
+    try:
+        return _canonical(Engine(program, cfg).run())
+    except RuntimeFault as fault:
+        return str(fault)
+
+
+_run_cycle = Core.run_cycle
+
+
+def _every_cycle(core, cycle):
+    # `Core.run_cycle` asking to be woken on the next cycle; a wake is still
+    # honoured when the core already ran the cycles before it
+    wake = _run_cycle(core, cycle)
+    return wake if core.last_seen > cycle else None
+
+
 def test_event_skipping_matches_wake_every_cycle(monkeypatch):
     # the engine jumps over the cycles a core says it will sleep through;
-    # waking every core on every cycle must not change any output. A wake
-    # is still honoured when the core already ran the cycles before it.
+    # waking every core on every cycle must not change any output
     configs = _differential_configs()
     skipping = [_canonical(Engine(p, cfg).run()) for p, cfg in configs]
-
-    run_cycle = Core.run_cycle
-
-    def every_cycle(core, cycle):
-        wake = run_cycle(core, cycle)
-        return wake if core.last_seen > cycle else None
-
-    monkeypatch.setattr(Core, "run_cycle", every_cycle)
+    monkeypatch.setattr(Core, "run_cycle", _every_cycle)
     for (p, cfg), expected in zip(configs, skipping):
         assert _canonical(Engine(p, cfg).run()) == expected, cfg
+
+
+# (program, config) pairs whose runs each need one kind of wake hint: a
+# core that sleeps through a cycle it could act in changes the outputs
+WAKE_PROBES = {
+    # resolving the context frees q0, so the held-back H dispatches at once
+    "context_frees_qubit": (
+        ".qubits 4\n0 MEAS q3 -> r0\nMRCE r0, q0, X, NOP\n0 H q0\nEND\n",
+        {}),
+    # the FMR waits for r0 while a timing point of its block is queued
+    "fmr_wait_with_queued_point": (
+        ".qubits 4\n0 MEAS q3 -> r0\nLDI r1, 1\nEND\n1 H q0\n1 H q0\n"
+        "FMR r1, r0\nEND\n0 H q0\nEND\n"
+        ".block b0 start=0 end=2 deps=none\n"
+        ".block b1 start=3 end=6 deps=none\n"
+        ".block b2 start=7 end=8 deps=none\n", {"cores": 2}),
+    # the FMR is held behind the blocked H until r1 is ready, then the END
+    # behind it dispatches too
+    "held_fmr": (
+        ".qubits 4\n0 MEAS q3 -> r1\n0 H q0\nEND\n0 MEAS q0 -> r0\n"
+        "MRCE r0, q1, NOP, NOP\n0 H q1\nFMR r1, r1\nEND\n"
+        ".block b0 start=0 end=2 deps=none\n"
+        ".block b1 start=3 end=7 deps=none\n",
+        {"superscalar_width": 2, "pipeline_depth": 1, "ctx_switch_cycles": 0}),
+    # the other core fills r5 long before this core's next timing point
+    "other_core_fills_register": (
+        ".qubits 4\n90 H q1\nFMR r1, r5\nEND\n0 MEAS q2 -> r5\nEND\n"
+        ".block A start=0 end=2 deps=none\n"
+        ".block B start=3 end=4 deps=none\n", {"cores": 2}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WAKE_PROBES))
+def test_wake_hints_are_never_late(name, monkeypatch):
+    source, kw = WAKE_PROBES[name]
+    p = parse_program(source)
+    cfg = MachineConfig(**kw)
+    skipping = _outcome(p, cfg)
+    monkeypatch.setattr(Core, "run_cycle", _every_cycle)
+    assert _outcome(p, cfg) == skipping
 
 
 def _exact(trace):
@@ -459,3 +515,274 @@ def test_finished_engine_freed_by_reference_counting():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def _general_rule(core, cycle):
+    # `Core._dispatch_quantum` replaced by the general per-cycle rule
+    now_ns = cycle * core.clock
+    return core._dispatch_picked(*core._pick_classical(core.pending, now_ns),
+                                 cycle, now_ns)
+
+
+def _two_blocks(qubits, a, b):
+    """Blocks A and B of lines `a` and `b`, independent of each other, so
+    two cores run them side by side."""
+    end_b = len(a) + len(b) - 1
+    return parse_program("\n".join(
+        [f".qubits {qubits}"] + a + [ln.format(end_b=end_b) for ln in b]
+        + [f".block A start=0 end={len(a) - 1} deps=none",
+           f".block B start={len(a)} end={end_b} deps=none"]))
+
+
+def _seeded(program):
+    configs = [(program, MachineConfig(cores=2, seed=seed))
+               for seed in (1, 2, 3)]
+    for _, cfg in configs:
+        cfg.qpu.outcome_bias = 0.5
+    return configs
+
+
+# block A measures r5 twice; block B, on the other core, reads r5 between
+# the two and must see the first result, not wait for the second
+RACE = "\n".join(
+    [".qubits 4", "0 MEAS q0 -> r5", "FMR r1, r5"] + ["1 H q1"] * 30
+    + ["1 MEAS q0 -> r5", "END",
+       "0 MEAS q3 -> r6", "FMR r4, r6", "FMR r2, r5", "LDI r3, 1",
+       "CMP r2, r3", "BR.eq 41", "1 X q2", "END",
+       ".block A start=0 end=33 deps=none",
+       ".block B start=34 end=41 deps=none"]) + "\n"
+
+# A dispatches its second r5 measurement in cycle 56, long before the
+# timing point issues; B reads r5 in cycle 51 and must see the first result
+HIDDEN_RESULT = _two_blocks(
+    4, ["0 MEAS q0 -> r5", "FMR r1, r5", "30 H q1"] + ["0 X q1"] * 5
+    + ["0 MEAS q0 -> r5", "END"],
+    ["LDI r7, 0"] * 49 + ["FMR r2, r5", "LDI r3, 1", "CMP r2, r3",
+                          "BR.eq {end_b}", "1 X q2", "END"])
+
+
+def _shared_qubit(late_x):
+    # block A and block B each put an X on q0, B's first; A issues a
+    # timing point to the device every cycle or two
+    if late_x:
+        return _two_blocks(3, ["0 H q1", "0 H q2", "1 X q0", "0 H q1",
+                               "0 H q2", "1 H q1", "0 H q2", "END"],
+                           ["2 X q0", "END"])
+    return _two_blocks(3, ["1 H q1", "1 X q0", "1 H q2", "1 H q1", "1 H q2",
+                           "1 H q1", "END"], ["1 X q0", "END"])
+
+
+# block A issues to q0 every cycle; with prefetch off, block B's cache load
+# lands while A runs, and B's X on q0 issues just before A's first H there
+LATE_START = _two_blocks(2, ["5 H q1"] + ["1 H q0"] * 10 + ["END"],
+                         ["0 X q0", "END"])
+
+
+def _probe_configs():
+    return (_seeded(parse_program(RACE)) + _seeded(HIDDEN_RESULT)
+            + [(_shared_qubit(late_x),
+                MachineConfig(cores=2, pipeline_depth=depth))
+               for late_x in (False, True) for depth in (1, 2, 3)]
+            + [(LATE_START, MachineConfig(cores=2, prefetch=False))])
+
+
+def test_cross_core_race_pinned():
+    for p, cfg in _seeded(parse_program(RACE)):
+        trace = Engine(p, cfg).run()
+        assert trace.total_cycles == 83, cfg.seed
+        [span_b] = [s for s in trace.block_spans if s[0] == 1]
+        assert span_b[3] == 56
+        assert issue_times(trace, "X") == [560]
+
+
+def test_dispatched_measurement_hides_result_from_later_cycles_only():
+    for p, cfg in _seeded(HIDDEN_RESULT):
+        trace = Engine(p, cfg).run()
+        assert trace.total_cycles == 59, cfg.seed
+        assert issue_times(trace, "MEAS") == [40, 580]
+        assert [e.time_ns for e in trace.events if e.qubits == (2,)] == [570]
+
+
+@pytest.mark.parametrize("late_x, depth, collisions", [
+    (False, 3, [(0, 60, 70, "X")]),
+    (False, 2, [(0, 50, 60, "X")]),
+    (True, 3, []),
+    (True, 2, []),
+])
+def test_device_sees_cores_in_issue_time_order(late_x, depth, collisions):
+    # A's X issues after B's. A core that issued its later timing points
+    # before the other core's earlier ones would make the device record the
+    # collision the wrong way round, or one that never happens.
+    trace = run(_shared_qubit(late_x), cores=2, pipeline_depth=depth)
+    assert [(c.qubit, c.time_ns, c.busy_until_ns, c.gate)
+            for c in trace.collisions] == collisions
+
+
+def test_device_sees_a_block_started_mid_run_in_issue_time_order():
+    trace = run(LATE_START, cores=2, prefetch=False)
+    assert [(e.time_ns, e.gate, e.core) for e in trace.events
+            if e.qubits == (0,)][:2] == [(140, "X", 1), (150, "H", 0)]
+    assert [(c.time_ns, c.busy_until_ns, c.gate) for c in
+            trace.collisions][:2] == [(150, 160, "H"), (160, 170, "H")]
+
+
+def _grid_configs():
+    configs = []
+    for name in sorted(BENCHMARKS):
+        bench = make_benchmark(name)
+        for width in (1, 2, 4, 8):
+            for cores in (1, 2, 6):
+                for seed in (1, 2, 3):
+                    cfg = MachineConfig(cores=cores, superscalar_width=width,
+                                        seed=seed)
+                    cfg.qpu.outcome_bias = bench.bias
+                    configs.append((bench.program, cfg))
+    return configs
+
+
+def test_quantum_fast_path_matches_general_rule(monkeypatch):
+    # the quantum batch loop is a fast path of the one dispatch rule: doing
+    # every cycle through `_pick_classical` and `_dispatch_picked` instead
+    # must not change any output
+    configs = _grid_configs() + _differential_configs() + _probe_configs()
+    ahead = []
+    fast = Core._dispatch_quantum
+
+    def counted(core, cycle):
+        extra = fast(core, cycle)
+        ahead.append(extra)
+        return extra
+
+    monkeypatch.setattr(Core, "_dispatch_quantum", counted)
+    expected = [_canonical(Engine(p, cfg).run()) for p, cfg in configs]
+    assert max(ahead) > 1
+    monkeypatch.setattr(Core, "_dispatch_quantum", _general_rule)
+    for (p, cfg), want in zip(configs, expected):
+        assert _canonical(Engine(p, cfg).run()) == want, cfg
+
+
+def test_steane_width4_cycles_pinned():
+    program = gen_steane_syndrome()
+    cycles = []
+    for cores in (1, 2, 6):
+        cfg = MachineConfig(cores=cores, superscalar_width=4, seed=1)
+        cfg.qpu.outcome_bias = make_benchmark("steane").bias
+        cycles.append(Engine(program, cfg).run().total_cycles)
+    assert cycles == [1839, 1153, 842]
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_younger_measurement_hides_register_until_it_issues(width):
+    # the older measurement issues while the younger one of r5 waits in the
+    # timing queue; the read must see the younger result (1), so no X
+    src = ("\n".join([".qubits 3", "0 MEAS q0 -> r5", "60 MEAS q1 -> r5",
+                      "FMR r1, r5", "LDI r2, 1", "CMP r1, r2", "BR.eq 7",
+                      "1 X q2", "END"]) + "\n")
+    trace = run(src, width=width, bias={0: 0.0, 1: 1.0})
+    assert issue_times(trace, "MEAS") == [40, 640]
+    assert issue_times(trace, "X") == []
+
+
+_GATES = ("H", "X", "Y", "Z", "RX", "CNOT", "CZ", "MEAS")
+_RESULTS = (0, 1, 2)
+_COND = ("eq", "ne", "lt", "le", "gt", "ge")
+
+
+@st.composite
+def _instruction(draw, qubit_count):
+    """One instruction; a branch is `(mnemonic, forward distance)` and the
+    result register an FMR or MRCE reads is drawn from `_RESULTS`."""
+    kind = draw(st.sampled_from(("quantum",) * 4 + (
+        "fmr", "mrce", "alu", "shared", "branch")))
+    qubit = st.integers(0, qubit_count - 1)
+    if kind == "quantum":
+        label = draw(st.integers(0, 3))
+        gate = draw(st.sampled_from(_GATES))
+        a = draw(qubit)
+        if gate in ("CNOT", "CZ"):
+            b = draw(qubit.filter(lambda q: q != a))
+            return f"{label} {gate} q{a}, q{b}"
+        if gate == "MEAS":
+            return f"{label} MEAS q{a} -> r{draw(st.sampled_from(_RESULTS))}"
+        return f"{label} {gate} q{a}" + (", 0.5" if gate == "RX" else "")
+    if kind == "fmr":
+        rd = draw(st.integers(1, 3))
+        return f"FMR r{rd}, r{draw(st.sampled_from(_RESULTS))}"
+    if kind == "mrce":
+        op0, op1 = draw(st.sampled_from(("NOP", "X", "Z"))), draw(
+            st.sampled_from(("NOP", "X", "H")))
+        return (f"MRCE r{draw(st.sampled_from(_RESULTS))}, q{draw(qubit)}, "
+                f"{op0}, {op1}")
+    if kind == "alu":
+        return draw(st.sampled_from((
+            "LDI r1, 1", "CMP r1, r2", "ADD r2, r1, r3", "MOV r3, r1")))
+    if kind == "shared":
+        # registers r24-r31 are one file that every core reads and writes
+        return draw(st.sampled_from((
+            "LDI r24, 1", "ADD r24, r24, r1", "MOV r2, r24", "CMP r24, r1",
+            "MOV r25, r1", "MOV r1, r25")))
+    # forward only, so every program ends
+    mnemonic = draw(st.sampled_from(["JMP"] + [f"BR.{c}" for c in _COND]))
+    return (mnemonic, draw(st.integers(1, 4)))
+
+
+@st.composite
+def _block_programs(draw):
+    """Assembly text of a small valid program of one to three blocks that
+    share qubits, result registers and the shared register file, with
+    direct or priority dependencies."""
+    qubit_count = 4
+    bodies = [draw(st.lists(_instruction(qubit_count), min_size=1,
+                            max_size=10)) + ["END"]
+              for _ in range(draw(st.integers(1, 3)))]
+    # every result register read is written by some measurement
+    text = "\n".join(ins for body in bodies for ins in body
+                     if isinstance(ins, str))
+    written = set(re.findall(r"-> r(\d+)", text))
+    for reg in set(re.findall(r"(?:FMR r\d+,|MRCE) r(\d+)", text)) - written:
+        bodies[draw(st.integers(0, len(bodies) - 1))].insert(
+            0, f"0 MEAS q3 -> r{reg}")
+    lines, directives, start = [f".qubits {qubit_count}"], [], 0
+    priority = draw(st.booleans())
+    for b, body in enumerate(bodies):
+        end = start + len(body) - 1
+        for pc, ins in enumerate(body, start):
+            if isinstance(ins, tuple):
+                ins = f"{ins[0]} {min(pc + ins[1], end)}"
+            lines.append(ins)
+        if priority:
+            deps = f"prio={draw(st.integers(0, 2))}"
+        else:
+            earlier = draw(st.sets(st.integers(0, b - 1))) if b else set()
+            deps = "deps=" + ("+".join(f"b{d}" for d in sorted(earlier))
+                              or "none")
+        directives.append(f".block b{b} start={start} end={end} {deps}")
+        start = end + 1
+    return "\n".join(lines + directives) + "\n"
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(source=_block_programs(), width=st.sampled_from((1, 2, 4, 8)),
+       cores=st.sampled_from((1, 2, 6)), seed=st.integers(1, 3),
+       bias=st.sampled_from((0.0, 0.5, 1.0)),
+       depth=st.sampled_from((1, 2, 3)), ctx=st.sampled_from((0, 1, 3)),
+       prefetch=st.booleans(), t_switch=st.sampled_from((0, 2)))
+def test_kernel_paths_agree_on_random_programs(source, width, cores, seed,
+                                              bias, depth, ctx, prefetch,
+                                              t_switch):
+    # the quantum fast path and the event-skipping engine are pure
+    # optimizations: turning either off gives the same outputs, or the
+    # same runtime fault
+    p = parse_program(source)
+    assert validate_program(p) == []
+    cfg = MachineConfig(cores=cores, superscalar_width=width, seed=seed,
+                        pipeline_depth=depth, ctx_switch_cycles=ctx,
+                        prefetch=prefetch, t_switch=t_switch,
+                        deadlock_timeout_cycles=300)
+    cfg.qpu.outcome_bias = bias
+    expected = _outcome(p, cfg)
+    for method, replacement in (("_dispatch_quantum", _general_rule),
+                                ("run_cycle", _every_cycle)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Core, method, replacement)
+            assert _outcome(p, cfg) == expected, method

@@ -134,57 +134,57 @@ MATRIX = {
     "parallel_rus-w1-c1-s1": "5ceb6f3bee9dc485d59b85dd37060e1ada9d043c4b9c676a5498abd7b6ca9107",
     "parallel_rus-w1-c1-s2": "96fc9a803949a5eed788a156034d8975e98a564876f48f33c43a693eba1891ec",
     "parallel_rus-w1-c1-s3": "39dc2d2d5fd81b0e42d48aaa63d82b856511d87581147080197a82647ed7b3b8",
-    "parallel_rus-w1-c2-s1": "8764fc1d01ccd598ec4bcde5a4d598f6f7b6efc743d3c86f4fa74108ce6cebe7",
-    "parallel_rus-w1-c2-s2": "712dafc7cfea883b478e8d4d6befa70afdeb318e37309e84761be3ecb8e40c9a",
-    "parallel_rus-w1-c2-s3": "94227fbd8a7d747ed28711ff4cee487c3cf9eebbdc9d639dbbd8cefcecd91370",
-    "parallel_rus-w1-c6-s1": "11c19b89001448369582b1f03a75882ca2028802fc729b171f5fcaf578f6ab91",
-    "parallel_rus-w1-c6-s2": "f4e81a53495c37cdb14a496bb34a251fe1bdc3fc6f4f1a20326a7b4f82059711",
-    "parallel_rus-w1-c6-s3": "7cefc1fc727fee5815cf7246f42fcb404db48ec6522e0a33d4c14dc024974177",
+    "parallel_rus-w1-c2-s1": "177451b2f4914eab0bc7c21e1f6e6a20c7faa3ff88b8194ea1349e3739bb71fa",
+    "parallel_rus-w1-c2-s2": "aa32db0334e63286c6f87935614183809308c2b8ce4711f50158a3796e6a339f",
+    "parallel_rus-w1-c2-s3": "6b3ca06db186a869e8516955734958e9efb3d315eb5790a3c0cd8f07ea261578",
+    "parallel_rus-w1-c6-s1": "b9ac2b99f9ae6cd139f6a717c53d59a8a0a736e19c86f74f81c9dcf44f97da73",
+    "parallel_rus-w1-c6-s2": "9e5a73ce124e4ae21016f60290a0a4c2a105657b720d42019a8a7ed170ee4352",
+    "parallel_rus-w1-c6-s3": "ae749e01af2c9dc98e73ec5d44ef0ca7cb918f13d7b00e671bd07b35484b1f85",
     "parallel_rus-w4-c1-s1": "0531fcf05f7d2c069ef62e3f12e738a97add83b8ea17c1b839455079d26cbc64",
     "parallel_rus-w4-c1-s2": "355b40e4630d58515f872224fb9ef3dd990ee3f516f412896f74947f3e7c7a9c",
     "parallel_rus-w4-c1-s3": "769bf26e35d4669af6d1448c1993ca20d23e00bb4b4aa0718cb21cfb1ef3cf38",
-    "parallel_rus-w4-c2-s1": "c3652b4d46aedc412084b761d4d98b28b0822f27a3dd76f583e7a48035e9542f",
-    "parallel_rus-w4-c2-s2": "42ed2423075f878ebcc8d77755a567e07e26c8352625fdf6839f5bc9a50d6e15",
-    "parallel_rus-w4-c2-s3": "2ea215f2c510e96852635db53a7a662b466964c56a682b495edfa1483fb1a6d3",
-    "parallel_rus-w4-c6-s1": "bb2b84e247c320c2dc0ff2b1d0cb2a4bf3d677fd6800a2d7df86abc381c0adb1",
-    "parallel_rus-w4-c6-s2": "611f2084f72bbe9025cc39348594dfa668e927134e9c8c34d01dd2aa0555ebe5",
-    "parallel_rus-w4-c6-s3": "8febc5711881e69b52862afbc5f65a8989f26749239d9a8fd9fd14ec35d63875",
+    "parallel_rus-w4-c2-s1": "814575666bd096c4a911e4cdddc967538e49ce1f8709a5b34bd16e0efd2b4b09",
+    "parallel_rus-w4-c2-s2": "2820d172d7577304a3d944bc79b8802fa0f6a60169a582c46a5091c2e4fa31f8",
+    "parallel_rus-w4-c2-s3": "b6561413dda21a218caeaa5923ecd2f2e8a6a125118588c7259995d862ca1907",
+    "parallel_rus-w4-c6-s1": "ae73c5847ff95d69d4fcde0cec35b76d5ab1b897bfd6009bbc68224f21cefac6",
+    "parallel_rus-w4-c6-s2": "061758f507d5be03e8f72966a7e71275653f5727700c2b2fe7ecf42798d33a44",
+    "parallel_rus-w4-c6-s3": "add58716832c2643f132d9691da816230a44de190bfc38f4f99f931268c769f6",
     "parallel_rus-w8-c1-s1": "11a8babeef2173824183b3e75747b2255baed3f4a0833969a163f5a6843a9f7e",
     "parallel_rus-w8-c1-s2": "6a8691a735c39e2edc25ea5f57b63f0c02e0b8edd942cd1e0d2aaa9d853c5084",
     "parallel_rus-w8-c1-s3": "15ef68c04c252efdbc28c3c1f370a0d2d978e32980b38d89673806b1f83cf7be",
-    "parallel_rus-w8-c2-s1": "ce719a046a18a7fb2350b10187f5a7bc3100338bd4a2ecc29a136e33b0459e1a",
-    "parallel_rus-w8-c2-s2": "a16d431103fccf7a79bb88a50821e7c1e569792c5cff570b892f7a8ee6040722",
-    "parallel_rus-w8-c2-s3": "c3cfd323bd574e0aa2ba9fe301ad0f8a347f9589eb6366dea4a0ddd3c0ebfa5a",
-    "parallel_rus-w8-c6-s1": "672208a312f119191b47aacd7a276c558e0dc5564449d46b2d2bdc937517f81a",
-    "parallel_rus-w8-c6-s2": "591fba0ed0a0d644918ca4d166746de1457b7975aaca7622be88e0abd863647f",
-    "parallel_rus-w8-c6-s3": "ab7ae9d2c46ebaa0ea5d145310d68ed268750be3528ea0784c29d92712556066",
+    "parallel_rus-w8-c2-s1": "ff7af4e745a7e9006ccb4ae13a85cb4fb3a21406edc734bb0cc33ca436fcea87",
+    "parallel_rus-w8-c2-s2": "ed21dcd4f77d635b3bb86b7036b00cf8e67b2e72a02d09270b88a92eed2ad4d3",
+    "parallel_rus-w8-c2-s3": "1620356e57670b912e8b84e51b302d51cb8f30acce4e2958ac216e224761f5ac",
+    "parallel_rus-w8-c6-s1": "27909c719c0f1157661af7810fb3e75645a64a69b209a782a85e03b0f72baf51",
+    "parallel_rus-w8-c6-s2": "b382080e0a0ceb5141d6ae28e02e46a70aa9b72111ab1e4c0f8617a29021cb7d",
+    "parallel_rus-w8-c6-s3": "c74497176ac8c96bf007729a01027282e52ddcaee6830bc35cfab6280891c050",
     "steane-w1-c1-s1": "0ca365094b98b4859ac087704cae3538cb90bd71410d71a07de90762802285bb",
     "steane-w1-c1-s2": "2404788e5a20312f3b6c6306c4e72c03b0c16a567937214fd35d249dc2c117ac",
     "steane-w1-c1-s3": "aa12d11766c9c2da2babec1325c429040f31b81102b9cfbd9f1e55cd253e065b",
-    "steane-w1-c2-s1": "cf18716c5568595a3ff158ec4aa99ba38e543948b86c6bf4c04042bb14e30b81",
-    "steane-w1-c2-s2": "53444fa87f1df50adfa45489af9ce23363629c371b701b8a8c963670ef81d5df",
-    "steane-w1-c2-s3": "5cb9669eb171d58702dfd3f46751c824a0926c7f68392598e38226502c2627df",
-    "steane-w1-c6-s1": "7afa4e6eba1632a1ed08156cc4f3b1c26d9b318a8745617e94b507a26cb39313",
-    "steane-w1-c6-s2": "35bb70d73f73a0da273bfc586a5cdc9f5e6e2e8611822c3b35faae1d9ae55364",
-    "steane-w1-c6-s3": "ad173427959a4a65b77f7e62539f1aaafa7d8722cae92b8ce44aca5b42c21bf7",
-    "steane-w4-c1-s1": "e9229c0fbd2d2ca2f2192532de5b87c3d0d38e02e393e71adb5e8d4a92fdbc95",
-    "steane-w4-c1-s2": "cd79fe8d488d6a6cb266d1ccc313e203922c2901b7fee6c53c4c6f2b5c9af78d",
+    "steane-w1-c2-s1": "cbaa7f65f9b92532b2c8cb55761016df5870703652afaccac0f558bcb02f4d98",
+    "steane-w1-c2-s2": "a02357dc5756d51f4238cbce132334ea818e045142f3d306957dd9f4a4047d10",
+    "steane-w1-c2-s3": "2b01754b4d92d4cb71cef827d2acf2cbea85bc683c8baf9717165f2566d03252",
+    "steane-w1-c6-s1": "d146c53f251d86d38d683535dbfa1e798070d4e355a9bddaae5e12a70069204b",
+    "steane-w1-c6-s2": "c0c418384e9139b0c64eafb4bfba062198f7955b1505dc81bac5e3ca06c97045",
+    "steane-w1-c6-s3": "8fb2dc2d47d6aa40d6a747abe1b037664ffd91f0c92eb10146ded90aa360de04",
+    "steane-w4-c1-s1": "de456fe53d78bbc6b67b84d896bc9a1e1d885f3f0d5a5468ece72292d77f507e",
+    "steane-w4-c1-s2": "7858de79b23fa1d2a25863a8f6b385c583d1ee5f2dbbf05ffc0ae59d1a9ce737",
     "steane-w4-c1-s3": "25893b947276bbffe9fa1430816054e72f01104e3112e454e75190554a4a9647",
-    "steane-w4-c2-s1": "1e7710ee25ead35b0978104630bfa095887c14d48f5642aad9d5bccb9f861f36",
-    "steane-w4-c2-s2": "4d8e550b5ee3cc64f8c50919c77c5466fcf12fc07bd374ed1135a765fe997cdc",
+    "steane-w4-c2-s1": "9c4c728bc6506802847409a280c45eaa1f669c3ff9c97ff35852a7d21305afa2",
+    "steane-w4-c2-s2": "105065be4166269d69a649081e6e1ae807d7d02dcc60e4c0d692cf0c1158afc4",
     "steane-w4-c2-s3": "4eeaa68acf4830da6c4255d889f4985356cb8ac33d99228db6e0aa6138d62b0f",
-    "steane-w4-c6-s1": "8e938c4ba1b3784192555ad5a6769cca9496be4b93ebe1897dbec7dc8c153085",
-    "steane-w4-c6-s2": "901bc78768a6f5d8c61e32419e0ba33a18d50bd792e14ac19736050b7a31d098",
+    "steane-w4-c6-s1": "21ab5408f7e90a3034b870601891adbdfc6d9ed1776c6774493d6650c9f3bc65",
+    "steane-w4-c6-s2": "c9ef2f5f505a1d3670ac41cb5e297a5e2b81f6f7f4504fdfa76bc5f9019e510a",
     "steane-w4-c6-s3": "38ecc3cc3740a5b2d6f55ea07fc7135d70207390dd4732f01b77cd4e68db4a90",
-    "steane-w8-c1-s1": "ce416a87f669a09f2c44bf1d67f3b27d7688121fce0eef29397ae72501c31a28",
-    "steane-w8-c1-s2": "755da98c2d41e3caf40af14fef3d4a3710246b46fe1e249c8d4b569bcc604693",
-    "steane-w8-c1-s3": "24661f8e6515dca62996d98cdfbb13dc481b060637ea5f0433fe6f5bbeccda23",
-    "steane-w8-c2-s1": "0be908471399ad3399a27de118c0924d47d82f1d74c78994394add9d4f53f826",
-    "steane-w8-c2-s2": "e3b0b56e5ec5d68963f5793a43982989e7445765c0fa3a31d161baac2ff58861",
-    "steane-w8-c2-s3": "b5dd4bcb147ed33185fc670ec4fe84288ce13b6b492b0637edf3fbb23699893d",
-    "steane-w8-c6-s1": "cee32a4b17e133e9252768e538c868a4f392ffa34b81ce553f23ccd6f5d3b8a8",
-    "steane-w8-c6-s2": "224a15505b3ea0674038b875fecb3f431659701c1841f208eb19b697afffa224",
-    "steane-w8-c6-s3": "53ae0accee0354f3a544874ac8cfa6b28f2cb486efaa4cdd85613f68bc2c0e4d",
+    "steane-w8-c1-s1": "13a52d23bfbaa550c14bbc5368dc201030cbcddbd5dd4cae8ab3f6cfe5da5227",
+    "steane-w8-c1-s2": "d353987c95248826b5fed3d3b66e7c1762a24c62d4b50e7ff7e337584ba4d543",
+    "steane-w8-c1-s3": "ad5c601665669c6910ca131695f5acc07fdfb22fbeeb5f8d94725b648137ee2d",
+    "steane-w8-c2-s1": "fbc6d633a78f8afae8eb695bac0495ff9f688ef6b6195d31a3495d5c5974ec9f",
+    "steane-w8-c2-s2": "5e37e652806322ea12d921d8fef2747cf58dbbb30db92b6aa2dc3b3265182935",
+    "steane-w8-c2-s3": "6b1a8efbad31af9f99db421c4cb8bdbf0c694db9cd5517edb7a2791086581515",
+    "steane-w8-c6-s1": "dee439714ee51ee02ee16eb22a0ccafad1ece229aee4d713efa2ecc4de6089af",
+    "steane-w8-c6-s2": "e84c4f38382da759a1687bb55e04042833108f65886ce82f488d22bdc5a32f8d",
+    "steane-w8-c6-s3": "ac2c08ef64ae65b2a99604fa8be8406c6385003a0967d12072e439fc99de81a3",
 }
 
 

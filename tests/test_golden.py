@@ -5,7 +5,9 @@ Each case pins the sha256 of `report.to_json()`, `events_to_csv`,
 spans. Unlike the
 benchmark's reference outputs, these are not put in a canonical order first,
 so a change to the order of events or steps, to a float's formatting or to a
-record's repr shows up here. A change that moves a digest must say why.
+record's repr shows up here. A change that moves a digest must say why. To
+print the table for the current code, run
+`PYTHONPATH=src python tests/test_golden.py`.
 """
 
 from __future__ import annotations
@@ -95,13 +97,6 @@ GOLDEN = {
         "sched": "8044803d0d3aa96c4312f1fa438cc7e8baf8a4aab017b93d182f823d8fe0c6f4",
         "spans": "ca587f0b460187223b87d212de0f5cea827d7d49c70d09f7eb4f4dc33e78baf1",
     },
-    "reset200-w1": {
-        "report": "1ce989783eff61893c392278b68193e745fb9b9a41a3827cb826ccc594de54fc",
-        "events": "516fc185a17d41b8d6bb8ee8adb1a9bd858d928868d2e09850a7b6b0d9b21877",
-        "steps": "6750bc5442ec14b917abdbcd272a4ac14dda805e1d2abaef4382ca479c0390a4",
-        "sched": "82760cb55d71497717f07b46c9fce6c6a3f06179fc261a6b48efe9d853a6e8a5",
-        "spans": "380c1c5518d1e74c14af3f5d5158f3781514ddfd2f529ab16110cdc53ab1b623",
-    },
     "reset200-seed1": {
         "report": "52da9a3377df6991c258bb0cf77416eee741233bfc641cea98ab2d567fc08a6d",
         "events": "516fc185a17d41b8d6bb8ee8adb1a9bd858d928868d2e09850a7b6b0d9b21877",
@@ -123,24 +118,31 @@ GOLDEN = {
         "sched": "82760cb55d71497717f07b46c9fce6c6a3f06179fc261a6b48efe9d853a6e8a5",
         "spans": "380c1c5518d1e74c14af3f5d5158f3781514ddfd2f529ab16110cdc53ab1b623",
     },
+    "reset200-w1": {
+        "report": "1ce989783eff61893c392278b68193e745fb9b9a41a3827cb826ccc594de54fc",
+        "events": "516fc185a17d41b8d6bb8ee8adb1a9bd858d928868d2e09850a7b6b0d9b21877",
+        "steps": "6750bc5442ec14b917abdbcd272a4ac14dda805e1d2abaef4382ca479c0390a4",
+        "sched": "82760cb55d71497717f07b46c9fce6c6a3f06179fc261a6b48efe9d853a6e8a5",
+        "spans": "380c1c5518d1e74c14af3f5d5158f3781514ddfd2f529ab16110cdc53ab1b623",
+    },
     "rus8-seed1": {
-        "report": "84a378183f9a95cb58e417cb75a38f376f755d9c0f3505480f06c126990116eb",
-        "events": "eb72388dd6f0f37b1b8e58f0600177f802bf1031882eb7a797b16cc76526508a",
-        "steps": "e8b8c4c7fd6fc9f571cf4f2837fcb51a589627fb8826100cdfc192338d2c4c17",
+        "report": "3e6e200105e3ca9124d6df589090b5cee1d1cb1dfe51e0d862d65fa8cc7c401f",
+        "events": "cd363c174a331cb7718f511cad1d8df32ad4cbb38ad6887749451f64085df430",
+        "steps": "107bb1087130ed226489b9135375e83d9c6094adc9489f73f8f26651ee379361",
         "sched": "2d3800fbb89258460339b4cbe5f5036a20f21d1569632cac3f46e426121f0009",
         "spans": "0deaa653573d6381fa84df25240769a5f9b9f13c22289bce7b4a11a5c00de5f9",
     },
     "rus8-seed2": {
-        "report": "7050828d7a68923d0102b4b91e8fc1d235b975e1b120e5ee41e8e48dd33a3330",
-        "events": "f66de3c8c353f466d455e11309fc97996de05ed2731f10b9aa3b0ab62214d49e",
-        "steps": "ae16bb85ca9981a70c7a6ce60fd538c5a35a3399e7ad278bc1fff0d14a79b9f4",
+        "report": "b3416fd4dd1a1b8badf6c856920f1f94b27d54bf5ceb4f87ff1a7ac1ea4ecc19",
+        "events": "66866ecd5b45c7f45a97e7b0e02810821ca7d0c55d4e04d39e43339df8665cb8",
+        "steps": "a04b6a0b54e10dbaf9a6bcdb384b824146fdc7fbf0a4dc553e29b823a98f9ec0",
         "sched": "85057b11b6cc7fa09193480d3d2ce1bb9937a85a940a0384cc576691b4a3c59a",
         "spans": "0f22ac34d0d97b0d1c0f33c643a8a74f1aaf0e62186cb67447ef1d9879fbf403",
     },
     "rus8-seed3": {
-        "report": "ec39b5e1f995d81d5b406d3abada023878bcd1ecd0ab1a2a77283145827977bf",
-        "events": "60b7b3089d71c07f6b7084833fe7267abc9d1cd6909ad71923da825fa4d2e12a",
-        "steps": "38531a72abcd305f41c9c24c85657bdf3b4fd974c52b181bee3de0b283ad8996",
+        "report": "5592b766878f8a5c50b0e2392a19a450c1812045a142be3c0ad88cd6b775f555",
+        "events": "019e57cf663d2d7f0a663a784d0111a892a1f2828a8c1bff4175c935ff1a8b86",
+        "steps": "97abf62b4d85798beed941dfc160c4a095bba8a3d143de625d36f59a9a53a4a8",
         "sched": "b7dba164ebfa0d7db8d63253c0f0ebe29b77fd98383a02abcb450bbd712ebc7e",
         "spans": "54ef10ac8b4856036ce65487ad0c0fe0be1b4a6c709611e8babbc3fc6f617218",
     },
@@ -152,16 +154,16 @@ GOLDEN = {
         "spans": "d5b82de05cdc2e723ab76165d7ff37e748f89960910ab38c226303cd7f89537b",
     },
     "steane-c2-w4": {
-        "report": "94cb63ad034fb35b8f45844d4f27a73764cf2b431a4b397e40ad22b94136ce2b",
-        "events": "6411d3b82b41489c5650497d4f7f27c4adf5dd2272a3890e02331a0dab0ca767",
-        "steps": "b53258385db1cf9ee7004a2301ec5a1701648702d5464518b0e5f3bf09cab093",
-        "sched": "3b3e899c926f0a9a282ad74da226d422ad2e74493696dabea51f8ee3a3a0a237",
-        "spans": "db4e6d9207849c78f6089921644a137832829c3f9b1a879f3c9e9198a83cdd27",
+        "report": "af7279429f444166643f11d24426fd2816c3ed5160a556a0d880197bbeb42ae2",
+        "events": "5e5f35eff109543f5f9f5ca622aee9435d814af9ceea7adcb0ce7e05c22cef6c",
+        "steps": "08321941472644064113cc031b32e923114445c540a0967aa9ade486608ab8f7",
+        "sched": "0f9c0d74f06e2e76e6ece9313da8275cae935ade988e62cc69007a6c2ea5262a",
+        "spans": "748e2e4aaf19bb0a6abff0fb65e9be7956a297f48f48c5ff128822f0ee11445b",
     },
     "steane-c6": {
-        "report": "15396de6a22f3eacbd9966a50ed98fd392502ef6d23f1f6d9b69d40f89141eb9",
-        "events": "a3ccb049dd8740c60c44b93ec20bcfb84bc49f12873d12065a51c72c0f64fbde",
-        "steps": "9b4cd6845bf1556a26f6eada5377723cbc13bb4b447ca42e523b7f2ea583c4f7",
+        "report": "d29055e4b6d2fd9338ffcbba823919a7015d5ad934969b7494c5e6dee66abfb3",
+        "events": "34af33b7757c35a561ee98aea0b9a8ed71d5009e99fcb9993a54d6b5f5641c7e",
+        "steps": "2334f2ab795b06a3ec82d611ff4b12cf8fd1afebd8f4fd345fe2ddc6ba2ce1b4",
         "sched": "7940f1c18346d99ea4745d166b1982e12ca4478d69e5e26e67d5b17e89ae0bf1",
         "spans": "8d89f18dc7891e0635ff25360820183963b4f3203f471d8f0dc60b5826f6592b",
     },
@@ -204,3 +206,15 @@ def test_records_are_their_named_tuples(case, programs):
         for x in records:
             assert type(x) is cls
             assert x == cls(*x)
+
+
+if __name__ == "__main__":
+    _progs = _programs()
+    print("GOLDEN = {")
+    for _case in sorted(CASES):
+        _name, _config = CASES[_case]
+        print(f'    "{_case}": {{')
+        for _part, _digest in digests(_progs[_name], _config).items():
+            print(f'        "{_part}": "{_digest}",')
+        print("    },")
+    print("}")

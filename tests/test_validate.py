@@ -341,3 +341,24 @@ def test_machine_too_small_is_a_diagnostic():
     assert d.where == "machine"
     assert d.message == "program uses 4 qubits, machine has 2"
     assert str(info.value) == "machine: program uses 4 qubits, machine has 2"
+
+
+@pytest.mark.parametrize("gate, qubits, message", [
+    (Gate.H, (0, 1), "H takes one qubit, got q0, q1"),
+    (Gate.RX, (), "RX takes one qubit, got none"),
+    (Gate.MEAS, (0, 1), "MEAS takes one qubit, got q0, q1"),
+    (Gate.X, (), "X takes one qubit, got none"),
+    (Gate.CZ, (1,), "CZ takes two distinct qubits, got q1"),
+    (Gate.CNOT, (1, 1), "CNOT takes two distinct qubits, got q1, q1"),
+    (Gate.CNOT, (0, 1, 0), "CNOT takes two distinct qubits, got q0, q1, q0"),
+])
+def test_gate_arity_is_a_diagnostic(gate, qubits, message):
+    # built through the API, which the parser's operand checks never see;
+    # `program_hash` cannot encode such an instruction
+    bad = Instruction(Kind.QUANTUM, gate=gate, qubits=qubits)
+    p = Program([Instruction(Kind.QUANTUM, gate=Gate.H, qubits=(0,)), bad,
+                 bad], [], 2)
+    assert [str(d) for d in validate_program(p)] == [
+        f"pc 1: {message}", f"pc 2: {message}"]
+    with pytest.raises(ValidationFault):
+        PreparedProgram(p)
