@@ -24,8 +24,12 @@ choose: a classical head with no quantum follower, and quantum work alone.
 `_dispatch_quantum` may run several cycles in one call, but only cycles the
 rule would spend the same way, and only up to `_horizon`: until then no
 other core acts and no block starts, so nothing else can see that the
-cycles ran early. Tests replace either fast path by the rule and compare
-every output.
+cycles ran early. It hands a timing point's leading group and the run of
+label-0 groups that join the point in the following cycles to the point in
+one step, with the number of cycles the rule spends on them: refills top
+the buffer up one issue width at a time, so each of those cycles takes the
+run's next issue width of instructions, and the count is arithmetic. Tests
+replace either fast path by the rule and compare every output.
 
 Each result register is a `[value, ready_ns, producers]` list: a
 measurement's result is readable from `ready_ns` on, and `producers` counts
@@ -470,9 +474,12 @@ class Core:
         the cycles after `cycle` in the same call, one group each, while the
         general rule would do just that in each of them (the buffer holds
         only quantum work, and with the scoreboard empty no conditional
-        context is open to resolve), up to `_horizon`. Timing points that
-        fall due in those cycles issue when the call returns. Returns how
-        many cycles it ran past `cycle`.
+        context is open to resolve), up to `_horizon`. A full group whose
+        next item has label 0 starts a run of groups that join one timing
+        point; `_dispatch_run` hands the run to the point in one step, with
+        the cycles the rule spends on it. Timing points that fall due in
+        those cycles issue when the call returns. Returns how many cycles it
+        ran past `cycle`.
         """
         pending = self.pending
         width = self.width
@@ -488,6 +495,22 @@ class Core:
                 if pending[i][1] != 0:
                     glen = i
                     break
+            else:
+                if glen == width and x < last:
+                    if len(pending) > width:
+                        item = pending[width]
+                    elif self.stream_ended:
+                        item = None
+                    else:
+                        item = items[self.pc]
+                    if item is not None and not (item[0] or item[1]):
+                        # quantum with label 0: the next cycle's group
+                        # joins this one's point
+                        x, stop = self._dispatch_run(x, last)
+                        if stop or not pending:
+                            return x - cycle
+                        x += 1
+                        continue
             group = pending[:glen]
             del pending[:glen]
             self._dispatch_group(group, x)
@@ -512,6 +535,84 @@ class Core:
             if not pending:
                 return x - cycle
             x += 1
+
+    def _dispatch_run(self, x: int, last: int) -> tuple[int, bool]:
+        """Dispatch in one step the groups that the loop of
+        `_dispatch_quantum` would dispatch one per cycle from cycle `x` on,
+        while each after the first joins the first one's timing point. The
+        caller has seen that the buffer's first `width` items form a full
+        group. Returns the run's last cycle and whether the loop stops
+        after it.
+
+        The count of cycles is arithmetic. The buffer holds at least
+        `width` items or the rest of the stream whenever a cycle starts, as
+        a refill adds one chunk of `width` stream items whenever it holds
+        fewer, so each cycle takes the run's next `width` items (the last
+        cycle, fewer) from the buffer followed by `items[pc:]`. The run
+        ends at the next non-zero label or at the end of the stream. The
+        loop stops earlier at the horizon `last`, whose cycle does not
+        refill, and after a cycle whose refill would fetch a chunk holding
+        a classical, MRCE or END item.
+        """
+        pending = self.pending
+        width = self.width
+        items = self.engine.items
+        end = self.pc_end + 1
+        held = len(pending)
+        pc = self.pc
+        avail = 0 if self.stream_ended else end - pc
+        span = last - x + 1
+        reach = span * width
+        # the run's length `n`, no longer than the horizon lets dispatch
+        n = held if held < reach else reach
+        for i in range(width, n):
+            if pending[i][1]:
+                n = i
+                break
+        else:
+            if n < reach and avail:
+                i = pc
+                stop = end if held + avail <= reach else pc + reach - held
+                while i < stop:
+                    item = items[i]
+                    if item[0] or item[1]:      # not quantum, or a label
+                        break
+                    i += 1
+                n += i - pc
+        cycles = -(-n // width)
+        if cycles < span:
+            taken = n       # the items taken up to the last refill
+            done = False
+        else:
+            cycles = span
+            taken = reach - width
+            done = True
+        took = n
+        if avail:
+            # one chunk for each cycle that leaves fewer than `width` items
+            fetch = -((held - taken - width) // width) * width
+            if fetch > 0:
+                fetched = items[pc:pc + fetch if fetch < avail else end]
+                # the run's own items are quantum; each decoded item ends
+                # with its pc
+                k = n - held
+                for item in fetched[k:] if k > 0 else fetched:
+                    if item[0] != K_QUANTUM:
+                        chunk = (item[-1] - pc) // width
+                        del fetched[chunk * width:]
+                        cycles = held // width + chunk
+                        if took > cycles * width:
+                            took = cycles * width
+                        done = True
+                        break
+                pending += fetched
+                self.pc = pc = pc + len(fetched)
+                if pc >= end:
+                    self.stream_ended = True
+        run = pending[:took]
+        del pending[:took]
+        self._dispatch_group(run, x, cycles)
+        return x + cycles - 1, done
 
     def _horizon(self, cycle: int) -> int:
         """The last cycle this core may run ahead to in a call at `cycle`.
@@ -686,7 +787,10 @@ class Core:
                 return True
         return False
 
-    def _dispatch_group(self, group: list[tuple], cycle: int) -> None:
+    def _dispatch_group(self, group: list[tuple], cycle: int,
+                        cycles: int = 1) -> None:
+        """Dispatch `group` in `cycle`, or a run of groups of one timing
+        point in the `cycles` cycles from `cycle` on."""
         head = group[0]
         label = head[1]
         entry = self.open_entry
@@ -711,14 +815,14 @@ class Core:
                 reg[2] += 1
                 self.inflight[r] += 1
                 entry.has_meas = True
-        entry.last_cycle = cycle
-        entry.q_cycles += 1
+        entry.last_cycle = cycle + cycles - 1
+        entry.q_cycles += cycles
         if self.pot_c or self.pot_s or self.pot_f:
             entry.c_cycles += self.pot_c
             entry.s_cycles += self.pot_s
             entry.f_cycles += self.pot_f
             self.pot_c = self.pot_s = self.pot_f = 0
-        self.attributed += 1
+        self.attributed += cycles
         self.fb_mode = False
 
     def _execute_classical_op(self, item: tuple, cycle: int,
@@ -962,6 +1066,19 @@ class Core:
         self.scoreboard.clear()
 
     # ── wake hinting for the event-skipping engine ─────────────────
+
+    def progress_due(self) -> bool:
+        """Whether this core is sure to move on at a known time: it has an
+        issue queued, or its stalled FMR or one of its open conditional
+        contexts waits on a result register that has a ready time. An FMR
+        held in the buffer is not counted: a stall ahead of it can keep it
+        there however ready its register is."""
+        if self.next_pop_ns < NEVER:
+            return True
+        rf = self.engine.result_file
+        if self.fmr_wait is not None and rf[self.fmr_wait[0]][1] < NEVER:
+            return True
+        return any(rf[ctx.result_reg][1] < NEVER for ctx in self.mrce_contexts)
 
     def _queue_wake(self, cycle: int) -> int | None:
         """The next cycle anything this stalled or draining core waits on can

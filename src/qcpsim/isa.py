@@ -143,7 +143,7 @@ def quantize_angle(radians: float) -> float:
     return step * _TWO_PI / ANGLE_STEPS
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Instruction:
     """One instruction word; which fields are meaningful depends on `kind`."""
 
@@ -177,7 +177,7 @@ class Instruction:
         return f"<{format_instruction(self)}>"
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class BlockDirective:
     """Declared program block: a PC range plus its dependency specification."""
 

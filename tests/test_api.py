@@ -13,10 +13,14 @@ PACKAGE = ROOT / "src" / "qcpsim"
 SEARCHED = ("src", "tests", "demos", "perfbench")
 
 
-def _searched_text() -> str:
-    return "\n".join(path.read_text()
+def _searched_words() -> tuple[Counter, Counter]:
+    """How often each identifier appears as a whole word in the searched
+    sources, and how often it is the name a `def` defines."""
+    text = "\n".join(path.read_text()
                      for top in SEARCHED
                      for path in sorted((ROOT / top).rglob("*.py")))
+    return (Counter(re.findall(r"\w+", text)),
+            Counter(re.findall(r"\bdef\s+(\w+)", text)))
 
 
 def _package_modules() -> list[ast.Module]:
@@ -57,23 +61,16 @@ def _module_assignments() -> Counter:
 
 
 def test_no_unused_functions():
-    text = _searched_text()
-    unused = []
-    for name in sorted(_defined_functions()):
-        mentions = len(re.findall(rf"\b{name}\b", text))
-        defs = len(re.findall(rf"\bdef\s+{name}\b", text))
-        if mentions <= defs:
-            unused.append(name)
+    words, defs = _searched_words()
+    unused = [name for name in sorted(_defined_functions())
+              if words[name] <= defs[name]]
     assert unused == []
 
 
 def test_no_unused_module_names():
-    text = _searched_text()
-    unused = []
-    for name, defs in sorted(_module_assignments().items()):
-        mentions = len(re.findall(rf"\b{name}\b", text))
-        if mentions <= defs:
-            unused.append(name)
+    words, _ = _searched_words()
+    unused = [name for name, defs in sorted(_module_assignments().items())
+              if words[name] <= defs]
     assert unused == []
 
 

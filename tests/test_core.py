@@ -4,6 +4,7 @@ import gc
 import json
 import re
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +14,11 @@ from qcpsim.bench import (BENCHMARKS, gen_active_reset_plus_rb, gen_dense,
                           gen_feedforward, gen_parallel_rus,
                           gen_steane_syndrome, make_benchmark)
 from qcpsim.config import MachineConfig
-from qcpsim.core import K_CLASSICAL, Core
+from qcpsim.core import K_CLASSICAL, K_QUANTUM, Core
 from qcpsim.engine import Engine, RuntimeFault
 from qcpsim.isa import parse_program, validate_program
-from qcpsim.metrics import build_report
+from qcpsim.metrics import build_report, steps_of
+from test_golden import RECORD_CASES, _programs
 
 
 def run(src_or_program, width=1, bias=0.0, cores=1, **kw):
@@ -442,6 +444,12 @@ WAKE_PROBES = {
         ".qubits 4\n90 H q1\nFMR r1, r5\nEND\n0 MEAS q2 -> r5\nEND\n"
         ".block A start=0 end=2 deps=none\n"
         ".block B start=3 end=4 deps=none\n", {"cores": 2}),
+    # nothing issues for 1 us before the last timing point, longer than the
+    # deadlock timeout: a queued point is progress that is sure to come
+    "long_wait_for_queued_point": (
+        ".qubits 4\n" + "1 H q0\n" * 3
+        + "100 X q1\n0 H q2\n0 H q3\n0 H q0\nEND\n",
+        {"deadlock_timeout_cycles": 50}),
 }
 
 
@@ -453,6 +461,23 @@ def test_wake_hints_are_never_late(name, monkeypatch):
     skipping = _outcome(p, cfg)
     monkeypatch.setattr(Core, "run_cycle", _every_cycle)
     assert _outcome(p, cfg) == skipping
+
+
+def test_deadlock_verdict_does_not_depend_on_the_wake_schedule(monkeypatch):
+    # the watchdog counts the cycles the engine visits, so it must look at
+    # what the cores wait on before it calls a long wait a deadlock; a read
+    # that no measurement can fill still faults, with the same text
+    wait = parse_program(WAKE_PROBES["long_wait_for_queued_point"][0])
+    hang = parse_program("FMR r1, r0\n0 MEAS q0 -> r0\n")
+    cfg = MachineConfig(deadlock_timeout_cycles=50)
+    for wake_every_cycle in (False, True):
+        if wake_every_cycle:
+            monkeypatch.setattr(Core, "run_cycle", _every_cycle)
+        assert Engine(wait, cfg).run().total_cycles == 108
+        with pytest.raises(RuntimeFault) as fault:
+            Engine(hang, cfg).run()
+        assert str(fault.value) == (
+            "deadlock: no progress for 50 cycles (stalled at cycle 51)")
 
 
 def _exact(trace):
@@ -626,6 +651,67 @@ def test_device_sees_a_block_started_mid_run_in_issue_time_order():
             trace.collisions][:2] == [(150, 160, "H"), (160, 170, "H")]
 
 
+def _runs(lengths, qubits=8):
+    """Lines of timing points whose label-0 runs have the given lengths,
+    their gates walking over the qubits."""
+    lines, q = [], 0
+    for n in lengths:
+        lines.append(f"1 H q{q % qubits}")
+        for q in range(q + 1, q + 1 + n):
+            lines.append(f"0 X q{q % qubits}")
+        q += 1
+    return lines
+
+
+# runs shorter than, as long as, and longer than each width
+LONG_RUNS = parse_program("\n".join(
+    [".qubits 8"] + _runs((0, 1, 2, 3, 5, 7, 8, 9, 12, 15, 16, 17, 31))
+    + ["END"]) + "\n")
+
+# block B issues a timing point every 20 cycles, so the horizon of core 0
+# falls inside block A's runs
+CUT_RUNS = _two_blocks(9, _runs((30, 40, 25, 33)) + ["END"],
+                       ["0 H q8"] + ["20 H q8"] * 6 + ["END"])
+
+# a measurement inside a run, read by a later FMR
+MEAS_RUN = parse_program("\n".join([
+    ".qubits 6", "1 H q0", "0 MEAS q1 -> r3", "0 H q2", "0 H q3", "0 H q4",
+    "1 H q4", "0 H q0", "FMR r1, r3", "LDI r2, 1", "CMP r1, r2", "BR.eq 13",
+    "1 X q5", "0 X q1", "END"]) + "\n")
+
+# while the context waits for r0, the label-0 gates join the point `1 H q1`
+# opened; once it resolves, the rest of them join it in the first cycle of
+# a call, with the switch's cycles still unclaimed
+POT_RUN = parse_program("\n".join(
+    [".qubits 4", "0 MEAS q3 -> r0", "MRCE r0, q0, NOP, NOP", "1 H q1"]
+    + ["0 H q2", "0 H q1"] * 40 + ["END"]) + "\n")
+
+
+def _chunk_end(n, tail):
+    # a run of `n` label-0 gates, then a classical instruction or END that
+    # shares a fetch chunk with the run's last gate at some width
+    return parse_program("\n".join(
+        [".qubits 8", "1 H q0"] + [f"0 H q{1 + i % 7}" for i in range(n)]
+        + tail) + "\n")
+
+
+def _join_configs():
+    configs = [(LONG_RUNS, MachineConfig(superscalar_width=width))
+               for width in (1, 2, 4, 8)]
+    configs += [(CUT_RUNS, MachineConfig(cores=2, superscalar_width=width))
+                for width in (1, 2, 4)]
+    for width in (1, 2):
+        for seed in (1, 2, 3):
+            cfg = MachineConfig(superscalar_width=width, seed=seed)
+            cfg.qpu.outcome_bias = 0.5
+            configs += [(MEAS_RUN, cfg), (POT_RUN, cfg)]
+    configs += [(_chunk_end(n, tail), MachineConfig(superscalar_width=width))
+                for n in range(9)
+                for tail in (["LDI r1, 1", "0 H q0", "0 H q1", "END"], ["END"])
+                for width in (1, 2, 4, 8)]
+    return configs
+
+
 def _grid_configs():
     configs = []
     for name in sorted(BENCHMARKS):
@@ -640,25 +726,123 @@ def _grid_configs():
     return configs
 
 
+def _run_goes_on(core):
+    # the core's next instruction joins its open timing point
+    if core.pending:
+        item = core.pending[0]
+    elif core.stream_ended:
+        return False
+    else:
+        item = core.engine.items[core.pc]
+    return item[0] == K_QUANTUM and item[1] == 0
+
+
 def test_quantum_fast_path_matches_general_rule(monkeypatch):
     # the quantum batch loop is a fast path of the one dispatch rule: doing
     # every cycle through `_pick_classical` and `_dispatch_picked` instead
     # must not change any output
-    configs = _grid_configs() + _differential_configs() + _probe_configs()
+    configs = (_grid_configs() + _differential_configs() + _probe_configs()
+               + _join_configs())
     ahead = []
+    seen = Counter()
     fast = Core._dispatch_quantum
 
     def counted(core, cycle):
+        if (core.open_entry is not None and core.pending[0][1] == 0
+                and core.pot_c + core.pot_s + core.pot_f):
+            seen["run joins with cycles to claim"] += 1
+        last = core._horizon(cycle)
         extra = fast(core, cycle)
         ahead.append(extra)
+        if cycle + extra == last and _run_goes_on(core):
+            seen["run cut by the horizon"] += 1
         return extra
 
     monkeypatch.setattr(Core, "_dispatch_quantum", counted)
     expected = [_canonical(Engine(p, cfg).run()) for p, cfg in configs]
     assert max(ahead) > 1
+    assert len(seen) == 2, seen
     monkeypatch.setattr(Core, "_dispatch_quantum", _general_rule)
     for (p, cfg), want in zip(configs, expected):
         assert _canonical(Engine(p, cfg).run()) == want, cfg
+
+
+def test_one_dispatch_group_call_per_timing_point(monkeypatch):
+    # a timing point's leading group and the label-0 groups that join it in
+    # later cycles go to `_dispatch_group` together, at every width
+    calls = []
+    dispatch_group = Core._dispatch_group
+
+    def counted(core, *args):
+        calls.append(args)
+        return dispatch_group(core, *args)
+
+    monkeypatch.setattr(Core, "_dispatch_group", counted)
+    program = gen_dense(8, 300)
+    for width in (1, 2, 4, 8):
+        calls.clear()
+        Engine(program, MachineConfig(superscalar_width=width)).run()
+        assert len(calls) == 300, width
+
+
+def test_fast_path_leaves_the_buffer_as_the_rule_does(monkeypatch):
+    # when a fast-path call returns, the next cycle has not refilled yet;
+    # the core's fetch state must be the one the general rule leaves after
+    # the same cycle, also where a run is cut by the horizon
+    def recording(dispatch, states):
+        def dispatch_and_record(core, cycle):
+            extra = dispatch(core, cycle)
+            states[core.core_id, cycle + extra] = (
+                core.pc, len(core.pending), core.stream_ended)
+            return extra
+        return dispatch_and_record
+
+    skipped = 0
+    for program, cfg in _join_configs() + _probe_configs():
+        fast, rule = {}, {}
+        for dispatch, states in ((Core._dispatch_quantum, fast),
+                                 (_general_rule, rule)):
+            with monkeypatch.context() as patch:
+                patch.setattr(Core, "_dispatch_quantum",
+                              recording(dispatch, states))
+                Engine(program, cfg).run()
+        assert {key: rule[key] for key in fast} == fast, cfg
+        skipped += len(rule) - len(fast)
+    assert skipped > 0
+
+
+def _check_one_issue_time_per_point(trace):
+    """`steps_of` groups the issue log by (core, scheduled time); each group
+    issues at one time, its step record's `actual_ns`, and holds that
+    record's `qices` operations, a two-qubit one logging two events.
+
+    Two timing points of a core can share a scheduled time: a label-0 group
+    after a classical instruction opens a point with no gap, and an
+    injected MRCE op is scheduled at its anchor point's time. `steps_of`
+    puts such points in one group, so there each issue time is matched to
+    the records that issue at it."""
+    records = {}
+    for step in trace.steps:
+        records.setdefault((step.core, step.scheduled_ns), []).append(step)
+    for group in steps_of(trace.events):
+        points = records.pop((group[0].core, group[0].scheduled_ns))
+        # each operation counted twice
+        issued = Counter()
+        for event in group:
+            issued[event.time_ns] += 2 if len(event.qubits) == 1 else 1
+        wanted = Counter()
+        for step in points:
+            wanted[step.actual_ns] += 2 * step.qices
+        assert issued == wanted, group
+    assert records == {}
+
+
+def test_each_timing_point_issues_at_one_time():
+    programs = _programs()
+    for name, cfg in RECORD_CASES.values():
+        _check_one_issue_time_per_point(Engine(programs[name], cfg).run())
+    for program, cfg in _join_configs() + _probe_configs():
+        _check_one_issue_time_per_point(Engine(program, cfg).run())
 
 
 def test_steane_width4_cycles_pinned():
@@ -689,14 +873,15 @@ _COND = ("eq", "ne", "lt", "le", "gt", "ge")
 
 
 @st.composite
-def _instruction(draw, qubit_count):
+def _instruction(draw, qubit_count, quantum_share=4, labels=st.integers(0, 3)):
     """One instruction; a branch is `(mnemonic, forward distance)` and the
-    result register an FMR or MRCE reads is drawn from `_RESULTS`."""
-    kind = draw(st.sampled_from(("quantum",) * 4 + (
+    result register an FMR or MRCE reads is drawn from `_RESULTS`. Of every
+    `quantum_share` + 5 draws, `quantum_share` are quantum."""
+    kind = draw(st.sampled_from(("quantum",) * quantum_share + (
         "fmr", "mrce", "alu", "shared", "branch")))
     qubit = st.integers(0, qubit_count - 1)
     if kind == "quantum":
-        label = draw(st.integers(0, 3))
+        label = draw(labels)
         gate = draw(st.sampled_from(_GATES))
         a = draw(qubit)
         if gate in ("CNOT", "CZ"):
@@ -727,13 +912,14 @@ def _instruction(draw, qubit_count):
 
 
 @st.composite
-def _block_programs(draw):
+def _block_programs(draw, instruction=_instruction(4), min_size=1,
+                    max_size=10):
     """Assembly text of a small valid program of one to three blocks that
     share qubits, result registers and the shared register file, with
     direct or priority dependencies."""
     qubit_count = 4
-    bodies = [draw(st.lists(_instruction(qubit_count), min_size=1,
-                            max_size=10)) + ["END"]
+    bodies = [draw(st.lists(instruction, min_size=min_size,
+                            max_size=max_size)) + ["END"]
               for _ in range(draw(st.integers(1, 3)))]
     # every result register read is written by some measurement
     text = "\n".join(ins for body in bodies for ins in body
@@ -786,3 +972,24 @@ def test_kernel_paths_agree_on_random_programs(source, width, cores, seed,
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(Core, method, replacement)
             assert _outcome(p, cfg) == expected, method
+
+
+# mostly quantum and mostly label 0, so that long runs of label-0 groups
+# join one timing point, across fetch chunks and the horizon
+_RUN_HEAVY = _block_programs(
+    _instruction(4, quantum_share=24,
+                 labels=st.sampled_from((0,) * 7 + (1, 2, 3))),
+    min_size=8, max_size=24)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(source=_RUN_HEAVY, width=st.sampled_from((1, 2, 4, 8)),
+       cores=st.sampled_from((1, 2, 6)), seed=st.integers(1, 3),
+       bias=st.sampled_from((0.0, 0.5, 1.0)),
+       depth=st.sampled_from((1, 2, 3)), ctx=st.sampled_from((0, 1, 3)),
+       prefetch=st.booleans(), t_switch=st.sampled_from((0, 2)))
+def test_kernel_paths_agree_on_run_heavy_programs(source, width, cores, seed,
+                                                  bias, depth, ctx, prefetch,
+                                                  t_switch):
+    test_kernel_paths_agree_on_random_programs.hypothesis.inner_test(
+        source, width, cores, seed, bias, depth, ctx, prefetch, t_switch)

@@ -1,14 +1,16 @@
 """Assembly grammar, binary encoding, and static validation."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import random
 
 import pytest
 
 from qcpsim.isa import (
-    BranchCond, ClassicalOp, EncodingError, Gate, Instruction, Kind, Program,
-    BINARY_MAGIC, MAX_BLOCKS, ParseError, decode_instruction, decode_program,
+    BlockDirective, BranchCond, ClassicalOp, EncodingError, Gate, Instruction,
+    Kind, Program, BINARY_MAGIC, MAX_BLOCKS, ParseError, decode_instruction, decode_program,
     encode_instruction, encode_program, parse_program, print_program,
     quantize_angle, validate_program,
 )
@@ -80,6 +82,30 @@ def test_print_program_reads_plain_int_fields():
         mrce_op0=int(ins.mrce_op0), mrce_op1=int(ins.mrce_op1))
         for ins in enums.instructions], [], enums.qubit_count)
     assert print_program(ints) == print_program(enums)
+
+
+def _all_fields(record) -> tuple:
+    # every field, `src_line` too, which `==` leaves out
+    return tuple(getattr(record, f.name) for f in dataclasses.fields(record))
+
+
+def test_program_records_are_slotted():
+    # parse, validate, decode and encode read these fields once per
+    # instruction; slotted records hold them without a per-object dict
+    p = parse_program(ROUND_TRIP + ".block b0 start=0 end=3 deps=none\n"
+                      ".block b1 start=4 end=15 deps=b0\n")
+    assert validate_program(p) == []
+    records = p.instructions + p.block_directives
+    assert {type(r) for r in records} == {Instruction, BlockDirective}
+    for record in records:
+        assert not hasattr(record, "__dict__")
+        for twin in (pickle.loads(pickle.dumps(record)),
+                     copy.deepcopy(record), dataclasses.replace(record)):
+            assert type(twin) is type(record)
+            assert _all_fields(twin) == _all_fields(record)
+        moved = dataclasses.replace(record, src_line=record.src_line + 100)
+        assert moved == record
+        assert moved.src_line == record.src_line + 100
 
 
 def test_parse_errors_carry_line_numbers():
