@@ -24,7 +24,9 @@ choose: a classical head with no quantum follower, and quantum work alone.
 `_dispatch_quantum` may run several cycles in one call, but only cycles the
 rule would spend the same way, and only up to `_horizon`: until then no
 other core acts and no block starts, so nothing else can see that the
-cycles ran early. It hands a timing point's leading group and the run of
+cycles ran early. The scheduler bounds that horizon only while one of its
+ticks could start a block; ticks that can only start or land prefetches
+run beside the call. It hands a timing point's leading group and the run of
 label-0 groups that join the point in the following cycles to the point in
 one step, with the number of cycles the rule spends on them: refills top
 the buffer up one issue width at a time, so each of those cycles takes the
@@ -239,8 +241,10 @@ class Core:
         self.next_call = 0
         # other cores share the result file and the device
         self.shared = engine.config.cores > 1
-        # this core's dispatched, unissued measurements of each register
-        self.inflight = [0] * len(engine.result_file)
+        # this core's dispatched, unissued measurements of each register;
+        # only the wake rule of a shared result file reads them
+        self.inflight = ([0] * len(engine.result_file) if self.shared
+                         else None)
 
     # ── block lifecycle ────────────────────────────────────────────
 
@@ -345,6 +349,11 @@ class Core:
 
         if self.stream_ended and not self.pending and self.executing is not None \
                 and self._block_complete(eff):
+            if eff > cycle:
+                # the engine logs the block's end at the call's cycle
+                raise SimulatorBug(
+                    f"block {self.executing} on core {self.core_id} would "
+                    f"finish at cycle {eff} in a call at cycle {cycle}")
             self._finish_block(eff)
             return None
         if eff > cycle:
@@ -426,25 +435,22 @@ class Core:
 
     # ── dispatch ───────────────────────────────────────────────────
 
-    def _fill(self) -> None:
-        """Top the buffer up with the block's next instructions, at most one
-        issue width of them, once it holds fewer than that."""
+    def _dispatch(self, cycle: int, now_ns: int) -> int:
+        self.stall_reason = None    # set again if this cycle stalls
         pending = self.pending
-        if not self.stream_ended and len(pending) < self.width:
+        width = self.width
+        if not self.stream_ended and len(pending) < width:
+            # top the buffer up with the block's next instructions, at most
+            # one issue width of them
             pc = self.pc
             end = self.pc_end + 1
             n = end - pc
-            if n > self.width:
-                n = self.width
-            pending.extend(self.engine.items[pc:pc + n])
-            self.pc = pc + n
-            if self.pc >= end:
+            if n > width:
+                n = width
+            pending += self.engine.items[pc:pc + n]
+            self.pc = pc = pc + n
+            if pc >= end:
                 self.stream_ended = True
-
-    def _dispatch(self, cycle: int, now_ns: int) -> int:
-        self.stall_reason = None    # set again if this cycle stalls
-        self._fill()
-        pending = self.pending
         if not pending:
             self.drain_cycles += 1
             self.attributed += 1
@@ -517,9 +523,9 @@ class Core:
             if x == last:
                 return x - cycle
             if len(pending) < width and not self.stream_ended:
-                # `_fill` inline, as it runs once per cycle here; when it
-                # would bring in a classical, MRCE or END instruction,
-                # `_dispatch` takes the next cycle instead
+                # the refill of `_dispatch`; when it would bring in a
+                # classical, MRCE or END instruction, `_dispatch` takes the
+                # next cycle instead
                 pc = self.pc
                 n = end - pc
                 if n > width:
@@ -621,18 +627,24 @@ class Core:
         no other part of the machine can read or write the shared result
         registers, the device or the run's records in between, and the
         cycles give the same outputs as when each runs in its own turn.
+
+        The scheduler bounds it only while a tick could start a block on
+        an idle core (`Scheduler.can_start_block`). Until some block
+        finishes, ticks start and land only prefetches, which no core
+        reads; and a core finishes its block only in its own call, which
+        the other cores' bound already holds this one to.
         """
         engine = self.engine
         active = engine.active_cores
         last = NEVER
         if len(active) < len(engine.cores):
-            # a tick can start a block on an idle core; the engine ticks the
-            # next cycle while the scheduler is dirty, else when its
-            # transfer lands
+            # the engine ticks the next cycle while the scheduler is dirty,
+            # else when its transfer lands
             sched = engine.scheduler
-            if sched.dirty:
-                return cycle
-            if sched.transfer is not None:
+            if ((sched.dirty or sched.transfer is not None)
+                    and sched.can_start_block()):
+                if sched.dirty:
+                    return cycle
                 last = sched.transfer[4] - 1
         me = self.core_id
         for core in active:
@@ -813,7 +825,8 @@ class Core:
                 reg = self.engine.result_file[r]
                 reg[1] = NEVER
                 reg[2] += 1
-                self.inflight[r] += 1
+                if self.shared:
+                    self.inflight[r] += 1
                 entry.has_meas = True
         entry.last_cycle = cycle + cycles - 1
         entry.q_cycles += cycles
@@ -1015,7 +1028,8 @@ class Core:
                         item[3][0], actual, item[5])
                     reg = rf[rreg]
                     reg[2] -= 1
-                    self.inflight[rreg] -= 1
+                    if self.shared:
+                        self.inflight[rreg] -= 1
                     if not reg[2]:
                         reg[0] = value
                         reg[1] = ready
@@ -1087,23 +1101,38 @@ class Core:
         if self.ctx_pause or self.redirect_penalty:
             return None
         rf = self.engine.result_file
-        regs = [ctx.result_reg for ctx in self.mrce_contexts]
-        if self.fmr_wait is not None:
-            regs.append(self.fmr_wait[0])
-        # an FMR held behind quantum work until its register is ready
-        regs += [item[8] for item in self.pending
-                 if item[0] == K_CLASSICAL and item[1] == _OP_FMR]
         best = self.next_pop_ns
-        for reg in regs:
-            _, ready, producers = rf[reg]
-            if (ready == NEVER and self.shared
-                    and not 0 < producers == self.inflight[reg]):
-                # only when its producers are all this core's own do they
-                # fill it at one of its issues; else poll each cycle
-                return None
+        for ctx in self.mrce_contexts:
+            ready = rf[ctx.result_reg][1]
             if ready < best:
                 best = ready
+            elif ready == NEVER and self._polls(ctx.result_reg):
+                return None
+        if self.fmr_wait is not None:
+            reg = self.fmr_wait[0]
+            ready = rf[reg][1]
+            if ready < best:
+                best = ready
+            elif ready == NEVER and self._polls(reg):
+                return None
+        for item in self.pending:
+            # an FMR held behind quantum work until its register is ready
+            if item[0] == K_CLASSICAL and item[1] == _OP_FMR:
+                reg = item[8]
+                ready = rf[reg][1]
+                if ready < best:
+                    best = ready
+                elif ready == NEVER and self._polls(reg):
+                    return None
         if best == NEVER:
             return None
         best = -(-best // self.clock)
         return best if best > cycle else cycle + 1
+
+    def _polls(self, reg: int) -> bool:
+        """Whether a wait on result register `reg`, which has no ready time,
+        must poll each cycle: with a shared result file, only when its
+        producers are all this core's own do they fill it at one of its
+        issues."""
+        return self.shared and not (
+            0 < self.engine.result_file[reg][2] == self.inflight[reg])

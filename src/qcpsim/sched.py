@@ -99,6 +99,30 @@ class Scheduler:
     def ready(self, b: int) -> bool:
         return deps_satisfied(self.table, self.done_mask, self.priority_counter, b)
 
+    def can_start_block(self) -> bool:
+        """Whether a tick could start a block on a core: a cold allocation
+        is in flight, or a block whose dependences are met has not started.
+
+        Otherwise ticks can only start and land prefetches until some block
+        finishes, as only `notify_done` moves the done mask and the
+        priority level.
+        """
+        transfer = self.transfer
+        if transfer is not None and transfer[0] == "alloc":
+            return True
+        statuses = self.statuses
+        if self.table.representation == DIRECT:
+            done = self.done_mask
+            for b, entry in enumerate(self.table.entries):
+                if (statuses[b] < BlockStatus.IN_EXECUTION
+                        and not entry.dep_mask & ~done):
+                    return True
+            return False
+        for b in self._by_priority.get(self.priority_counter, ()):
+            if statuses[b] < BlockStatus.IN_EXECUTION:
+                return True
+        return False
+
     def _prefetchable(self, b: int) -> bool:
         """Dependencies all running or finished; for priorities, this level
         or the one right after the running level."""

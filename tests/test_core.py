@@ -18,6 +18,7 @@ from qcpsim.core import K_CLASSICAL, K_QUANTUM, Core
 from qcpsim.engine import Engine, RuntimeFault
 from qcpsim.isa import parse_program, validate_program
 from qcpsim.metrics import build_report, steps_of
+from qcpsim.sched import SimulatorBug
 from test_golden import RECORD_CASES, _programs
 
 
@@ -509,14 +510,22 @@ def test_classical_alone_fast_path_matches_general_dispatch(monkeypatch):
     fast = [_exact(Engine(p, cfg).run()) for p, cfg in configs]
     assert alone_cycles and mixed_cycles
     monkeypatch.setattr(Core, "_dispatch_picked", picked)
-
-    def general(core, cycle, now_ns):
-        return core._dispatch_picked(
-            *core._pick_classical(core.pending, now_ns), cycle, now_ns)
-
-    monkeypatch.setattr(Core, "_dispatch_classical_alone", general)
+    monkeypatch.setattr(Core, "_dispatch_classical_alone", _classical_rule)
     for (p, cfg), expected in zip(configs, fast):
         assert _exact(Engine(p, cfg).run()) == expected, cfg
+
+
+def test_block_never_finishes_after_the_call_cycle(monkeypatch):
+    # the engine logs a block's end and span at the cycle of the call that
+    # finished it, so a call that ran ahead must not finish its block
+    engine = Engine(parse_program(".qubits 1\n0 H q0\nEND\n"),
+                    MachineConfig())
+    core = engine.cores[0]
+    core.start_block(0, 0, 0, 1, 0)     # an empty stream
+    monkeypatch.setattr(Core, "_dispatch", lambda core, cycle, now_ns: 2)
+    with pytest.raises(SimulatorBug, match="finish at cycle 2 in a call at "
+                       "cycle 0"):
+        core.run_cycle(0)
 
 
 def test_finished_engine_freed_by_reference_counting():
@@ -545,6 +554,12 @@ def test_finished_engine_freed_by_reference_counting():
 def _general_rule(core, cycle):
     # `Core._dispatch_quantum` replaced by the general per-cycle rule
     now_ns = cycle * core.clock
+    return core._dispatch_picked(*core._pick_classical(core.pending, now_ns),
+                                 cycle, now_ns)
+
+
+def _classical_rule(core, cycle, now_ns):
+    # `Core._dispatch_classical_alone` replaced by the general per-cycle rule
     return core._dispatch_picked(*core._pick_classical(core.pending, now_ns),
                                  cycle, now_ns)
 
@@ -712,6 +727,32 @@ def _join_configs():
     return configs
 
 
+def _prefetch_mid_run(c_deps):
+    """Block A runs label-0 runs on core 0 while block B, on core 1, ends
+    at once; block C, which depends on A or on nothing, is prefetched onto
+    core 0 and lands in the middle of A, with core 1 idle."""
+    a = _runs((1, 5) * 10, qubits=2) + ["END"]
+    b = ["1 H q2", "END"]
+    c = ["1 X q3"] * 40 + ["END"]
+    end_a, end_b = len(a) - 1, len(a) + len(b) - 1
+    return parse_program("\n".join(
+        [".qubits 4"] + a + b + c
+        + [f".block A start=0 end={end_a} deps=none",
+           f".block B start={end_a + 1} end={end_b} deps=none",
+           f".block C start={end_b + 1} end={end_b + len(c)} "
+           f"deps={c_deps}"]) + "\n")
+
+
+def _sched_bound_configs():
+    # with C waiting for A, no tick can start a block before A ends, so A's
+    # run goes on past the landing; with C ready, the run stops before it
+    return [(_prefetch_mid_run(c_deps),
+             MachineConfig(cores=2, superscalar_width=width,
+                           dependency_mode=mode))
+            for c_deps in ("A", "none") for width in (1, 4)
+            for mode in ("direct", "priority")]
+
+
 def _grid_configs():
     configs = []
     for name in sorted(BENCHMARKS):
@@ -726,23 +767,32 @@ def _grid_configs():
     return configs
 
 
+def _next_item(core):
+    # the core's next instruction, or None at the end of its stream
+    if core.pending:
+        return core.pending[0]
+    if core.stream_ended:
+        return None
+    return core.engine.items[core.pc]
+
+
 def _run_goes_on(core):
     # the core's next instruction joins its open timing point
-    if core.pending:
-        item = core.pending[0]
-    elif core.stream_ended:
-        return False
-    else:
-        item = core.engine.items[core.pc]
-    return item[0] == K_QUANTUM and item[1] == 0
+    item = _next_item(core)
+    return item is not None and item[0] == K_QUANTUM and item[1] == 0
+
+
+def _quantum_next(core):
+    item = _next_item(core)
+    return item is not None and item[0] == K_QUANTUM
 
 
 def test_quantum_fast_path_matches_general_rule(monkeypatch):
     # the quantum batch loop is a fast path of the one dispatch rule: doing
     # every cycle through `_pick_classical` and `_dispatch_picked` instead
-    # must not change any output
+    # must not change any output, down to the order of every record
     configs = (_grid_configs() + _differential_configs() + _probe_configs()
-               + _join_configs())
+               + _join_configs() + _sched_bound_configs())
     ahead = []
     seen = Counter()
     fast = Core._dispatch_quantum
@@ -751,20 +801,31 @@ def test_quantum_fast_path_matches_general_rule(monkeypatch):
         if (core.open_entry is not None and core.pending[0][1] == 0
                 and core.pot_c + core.pot_s + core.pot_f):
             seen["run joins with cycles to claim"] += 1
+        engine = core.engine
+        sched = engine.scheduler
+        transfer = sched.transfer
+        idle = len(engine.active_cores) < len(engine.cores)
+        can_start = sched.can_start_block()
+        bound = idle and (sched.dirty or transfer is not None) and can_start
         last = core._horizon(cycle)
         extra = fast(core, cycle)
         ahead.append(extra)
         if cycle + extra == last and _run_goes_on(core):
             seen["run cut by the horizon"] += 1
+        if (idle and not can_start and transfer is not None
+                and cycle + extra >= transfer[4]):
+            seen["run past a prefetch landing"] += 1
+        if bound and cycle + extra == last and _quantum_next(core):
+            seen["run stopped while a block can start"] += 1
         return extra
 
     monkeypatch.setattr(Core, "_dispatch_quantum", counted)
-    expected = [_canonical(Engine(p, cfg).run()) for p, cfg in configs]
+    expected = [_exact(Engine(p, cfg).run()) for p, cfg in configs]
     assert max(ahead) > 1
-    assert len(seen) == 2, seen
+    assert len(seen) == 4, seen
     monkeypatch.setattr(Core, "_dispatch_quantum", _general_rule)
     for (p, cfg), want in zip(configs, expected):
-        assert _canonical(Engine(p, cfg).run()) == want, cfg
+        assert _exact(Engine(p, cfg).run()) == want, cfg
 
 
 def test_one_dispatch_group_call_per_timing_point(monkeypatch):
@@ -956,8 +1017,8 @@ def _block_programs(draw, instruction=_instruction(4), min_size=1,
 def test_kernel_paths_agree_on_random_programs(source, width, cores, seed,
                                               bias, depth, ctx, prefetch,
                                               t_switch):
-    # the quantum fast path and the event-skipping engine are pure
-    # optimizations: turning either off gives the same outputs, or the
+    # both dispatch fast paths and the event-skipping engine are pure
+    # optimizations: turning any of them off gives the same outputs, or the
     # same runtime fault
     p = parse_program(source)
     assert validate_program(p) == []
@@ -968,6 +1029,7 @@ def test_kernel_paths_agree_on_random_programs(source, width, cores, seed,
     cfg.qpu.outcome_bias = bias
     expected = _outcome(p, cfg)
     for method, replacement in (("_dispatch_quantum", _general_rule),
+                                ("_dispatch_classical_alone", _classical_rule),
                                 ("run_cycle", _every_cycle)):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(Core, method, replacement)

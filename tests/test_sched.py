@@ -2,7 +2,7 @@
 
 import pytest
 
-from qcpsim.blocks import build_table
+from qcpsim.blocks import build_table, to_priority_table
 from qcpsim.config import MachineConfig
 from qcpsim.engine import Engine
 from qcpsim.isa import parse_program
@@ -255,3 +255,79 @@ def test_busy_core_cannot_take_a_block():
         core.begin_switch(1, 1, 2, 5, 9)
     core.run_cycle(2)           # the refused requests left the switch intact
     assert core.executing == 0
+
+
+class _Core:
+    """What the scheduler reads and writes of a core; a block handed to it
+    runs at once."""
+
+    def __init__(self, core_id):
+        self.core_id = core_id
+        self.slots = [None, None]
+        self.slot_loaded = [False, False]
+        self.executing = None
+        self.switch_until = None
+        self.exec_start_cycle = 0
+
+    def begin_switch(self, block, slot, start_cycle, pc_start, pc_end):
+        self.executing = block
+
+    start_block = begin_switch
+
+
+def _scheduler(program, cores, prefetch, priority):
+    table = build_table(program)
+    if priority:
+        table = to_priority_table(table)
+    return Scheduler(table, [_Core(i) for i in range(cores)],
+                     sched_response=4, fetch_bandwidth=4, t_switch=2,
+                     prefetch=prefetch)
+
+
+def _finish(sched, block, now):
+    core = next(c for c in sched.cores if c.executing == block)
+    core.executing = None
+    sched.notify_done(block, core, now)
+
+
+@pytest.mark.parametrize("priority", [False, True])
+def test_can_start_block_follows_prefetches_and_levels(priority):
+    # W1 and W2 are preloaded and ready; W3 needs both, W4 needs W3
+    sched = _scheduler(_four_block_program(), 2, True, priority)
+    sched.preload(2)
+    assert sched.can_start_block()
+    sched.tick(0)
+    # the level's last block started; W3 is prefetched while it waits
+    assert [e.action for e in sched.events[2:]] == [
+        "switch", "switch", "prefetch"]
+    assert sched.transfer[:2] == ("prefetch", 2)
+    assert not sched.can_start_block()
+    sched.tick(sched.transfer[4])
+    assert sched.transfer is None and not sched.can_start_block()
+    _finish(sched, 0, 20)
+    assert not sched.can_start_block()
+    # the last dependence of W3 ends, so the level moves on
+    _finish(sched, 1, 21)
+    assert sched.can_start_block()
+    sched.tick(22)
+    assert sched.statuses[2] == BlockStatus.IN_EXECUTION
+    assert not sched.can_start_block()
+
+
+@pytest.mark.parametrize("priority", [False, True])
+def test_can_start_block_while_an_allocation_is_in_flight(priority):
+    # b1 follows b0, so only the cold allocation of b0 can start a block
+    program = parse_program(
+        ".qubits 1\n0 H q0\nEND\n0 H q0\nEND\n"
+        ".block b0 start=0 end=1 deps=none\n"
+        ".block b1 start=2 end=3 deps=b0\n")
+    sched = _scheduler(program, 2, False, priority)
+    assert sched.can_start_block()
+    sched.tick(0)
+    assert sched.transfer[:2] == ("alloc", 0)
+    assert sched.can_start_block()
+    sched.tick(sched.transfer[4])
+    assert sched.cores[0].executing == 0
+    assert sched.transfer is None and not sched.can_start_block()
+    _finish(sched, 0, 10)
+    assert sched.can_start_block()
