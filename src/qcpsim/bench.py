@@ -8,6 +8,7 @@ programs are collision-free on the default device model.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -284,20 +285,26 @@ def make_benchmark(name: str, **params) -> Benchmark:
     if name not in BENCHMARKS:
         raise ValueError(f"unknown benchmark {name!r}; "
                          f"choose from {sorted(BENCHMARKS)}")
-    return BENCHMARKS[name](**params)
+    factory = BENCHMARKS[name]
+    accepted = inspect.signature(factory).parameters
+    for key in params:
+        if key not in accepted:
+            raise ValueError(f"benchmark {name!r} takes no parameter {key!r}; "
+                             f"it takes {', '.join(accepted)}")
+    return factory(**params)
 
 
 BENCHMARKS = {
-    "dense": lambda qubits=8, steps=100, **kw:
+    "dense": lambda qubits=8, steps=100:
         Benchmark(f"dense{qubits}x{steps}", gen_dense(qubits, steps)),
-    "feedforward": lambda bias=1.0, **kw:
+    "feedforward": lambda bias=1.0:
         Benchmark("feedforward", gen_feedforward(), bias=bias),
-    "parallel_rus": lambda n=2, bias=0.1, **kw:
+    "parallel_rus": lambda n=2, bias=0.1:
         Benchmark(f"parallel_rus{n}", gen_parallel_rus(n, bias), bias=bias),
-    "active_reset_rb": lambda length=20, bias=1.0, mrce=True, **kw:
+    "active_reset_rb": lambda length=20, bias=1.0, mrce=True:
         Benchmark(f"active_reset_rb{length}",
                   gen_active_reset_plus_rb(length, mrce=mrce), bias=bias),
-    "steane": lambda bias=0.1, rounds=3, **kw:
+    "steane": lambda bias=0.1, rounds=3:
         Benchmark("steane", gen_steane_syndrome(rounds=rounds), bias=bias),
 }
 

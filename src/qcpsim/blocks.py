@@ -3,8 +3,10 @@
 Two dependency representations are supported. *Direct* stores, per block, a
 bit vector over all block ids; a block is ready once every bit it depends on
 is cleared (the block finished). *Priority* stores one small integer per
-block; a counter admits all blocks of the current priority and advances when
-they are all done.
+block; the blocks run in levels, one per distinct priority, in increasing
+order, the lowest first. Only the distinct values and their order matter:
+priorities 1 and 3 run like 0 and 1. The scheduler admits the blocks of one
+level and moves on to the next level that exists once they are all done.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from .isa import MAX_BLOCKS, Program, _effective_blocks
 
 __all__ = [
     "DIRECT", "PRIORITY", "BlockInfoEntry", "BlockInfoTable", "TableError",
-    "build_table", "deps_satisfied",
-    "pack_priority_entry", "unpack_priority_entry", "level_assignment",
-    "to_priority_table",
+    "build_table", "pack_priority_entry", "unpack_priority_entry",
+    "level_assignment", "to_priority_table",
 ]
 
 DIRECT = "direct"
@@ -54,12 +55,6 @@ class BlockInfoTable:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
-    def max_priority(self) -> int:
-        if self.representation != PRIORITY or not self.entries:
-            return 0
-        return max(e.priority for e in self.entries)
-
 
 def build_table(p: Program) -> BlockInfoTable:
     """Resolve block directives into a table; ids are dense in declaration order.
@@ -91,15 +86,6 @@ def build_table(p: Program) -> BlockInfoTable:
             entries.append(BlockInfoEntry(i, d.name, d.pc_start, d.pc_end,
                                           dep_mask=mask))
     return BlockInfoTable(tuple(entries), representation)
-
-
-def deps_satisfied(table: BlockInfoTable, done_mask: int, counter: int,
-                   block_id: int) -> bool:
-    """True when the block may start: cleared dep vector, or matching priority."""
-    entry = table.entries[block_id]
-    if table.representation == DIRECT:
-        return (entry.dep_mask & ~done_mask) == 0
-    return entry.priority == counter
 
 
 def pack_priority_entry(entry: BlockInfoEntry) -> int:

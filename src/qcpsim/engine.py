@@ -13,16 +13,15 @@ from dataclasses import dataclass, field
 
 from .blocks import build_table, to_direct_table, to_priority_table
 from .config import MachineConfig
-from .core import NEVER, Core, StepRecord, decode_for_execution
-from .isa import Diagnostic, Program, program_hash, validate_program
+from .core import (NEVER, SHARED_REG_BASE, Core, StepRecord,
+                   decode_for_execution)
+from .isa import (REGISTER_COUNT, Diagnostic, Program, program_hash,
+                  validate_program)
 from .qpu import Collision, IssueEvent, QpuState
 from .sched import Scheduler, SchedulerEvent
 
 __all__ = ["Engine", "PreparedProgram", "RunTrace", "RuntimeFault",
            "ValidationFault", "prepare", "run_program"]
-
-RESULT_REGS = 32
-SHARED_REGS = 8
 
 
 class RuntimeFault(RuntimeError):
@@ -118,8 +117,8 @@ class Engine:
                             collect_events=config.collect_events)
 
         # [value, ready_ns, dispatched measurements not yet issued]
-        self.result_file = [[0, NEVER, 0] for _ in range(RESULT_REGS)]
-        self.shared_regs = [0] * SHARED_REGS
+        self.result_file = [[0, NEVER, 0] for _ in range(REGISTER_COUNT)]
+        self.shared_regs = [0] * (REGISTER_COUNT - SHARED_REG_BASE)
         self.collect_steps = config.collect_steps
         self.steps: list[StepRecord] = []
         self.violations: list[tuple[int, int, int]] = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 from enum import IntEnum
 from typing import NamedTuple
 
-from .blocks import BlockInfoTable, DIRECT, deps_satisfied
+from .blocks import BlockInfoTable, DIRECT
 
 __all__ = ["BlockStatus", "SchedulerEvent", "Scheduler", "SimulatorBug",
            "transfer_cost"]
@@ -49,13 +49,17 @@ def transfer_cost(length_words: int, sched_response: int, bandwidth: int) -> int
 
 
 class Scheduler:
-    """Dynamic block scheduler over a fixed block information table."""
+    """Dynamic block scheduler over a fixed block information table.
+
+    A priority table runs its levels in increasing order of their distinct
+    priorities: `priority_counter` is the rank of the running level among
+    them, so it starts at the lowest level that exists.
+    """
 
     __slots__ = ("table", "cores", "sched_response", "fetch_bandwidth",
                  "t_switch", "prefetch_enabled", "statuses", "done_mask",
-                 "priority_counter", "busy_until", "transfer", "events",
-                 "dirty", "done_count", "_max_prio", "_by_priority",
-                 "_level_remaining", "block_spans")
+                 "priority_counter", "transfer", "events", "dirty",
+                 "done_count", "_direct", "_deps", "_levels", "block_spans")
 
     def __init__(self, table: BlockInfoTable, cores, *, sched_response: int,
                  fetch_bandwidth: int, t_switch: int, prefetch: bool):
@@ -69,18 +73,19 @@ class Scheduler:
         self.statuses = [BlockStatus.WAIT] * n
         self.done_mask = 0
         self.priority_counter = 0
-        self.busy_until = 0
         # at most one transfer in flight: (kind, block, core, slot, finish)
         self.transfer: tuple[str, int, int, int, int] | None = None
         self.events: list[SchedulerEvent] = []
         self.dirty = True
         self.done_count = 0
-        self._max_prio = table.max_priority
-        self._by_priority: dict[int, list[int]] = {}
-        if table.representation != DIRECT:
-            for e in table.entries:
-                self._by_priority.setdefault(e.priority, []).append(e.block_id)
-        self._level_remaining = {p: len(v) for p, v in self._by_priority.items()}
+        self._direct = table.representation == DIRECT
+        self._deps = [e.dep_mask for e in table.entries]
+        # the blocks of each level, indexed by the rank of its priority among
+        # the distinct ones; the counter reaches the empty level past the
+        # last once every block is done
+        self._levels = [
+            tuple(e.block_id for e in table.entries if e.priority == p)
+            for p in sorted({e.priority for e in table.entries})] + [()]
         self.block_spans: list[tuple[int, int, int, int]] = []  # block, core, start, end
 
     # ── status bookkeeping ─────────────────────────────────────────
@@ -97,47 +102,58 @@ class Scheduler:
             SchedulerEvent, (cycle, action, block, core)))
 
     def ready(self, b: int) -> bool:
-        return deps_satisfied(self.table, self.done_mask, self.priority_counter, b)
+        """Whether block b's dependences are met: every block in its
+        dependence mask is done, or its level is the running one."""
+        if self._direct:
+            return not self._deps[b] & ~self.done_mask
+        return b in self._levels[self.priority_counter]
+
+    def _first_ready(self, below: BlockStatus) -> int | None:
+        """The first block whose dependences are met and whose status is
+        below `below`, or None."""
+        statuses = self.statuses
+        if self._direct:
+            done = self.done_mask
+            for b, deps in enumerate(self._deps):
+                if not deps & ~done and statuses[b] < below:
+                    return b
+        else:
+            for b in self._levels[self.priority_counter]:
+                if statuses[b] < below:
+                    return b
+        return None
 
     def can_start_block(self) -> bool:
         """Whether a tick could start a block on a core: a cold allocation
-        is in flight, or a block whose dependences are met has not started.
+        is in flight, or a block whose dependences are met (its dependence
+        mask is done, or it is on the running level) has not started.
 
         Otherwise ticks can only start and land prefetches until some block
         finishes, as only `notify_done` moves the done mask and the
         priority level.
         """
         transfer = self.transfer
-        if transfer is not None and transfer[0] == "alloc":
-            return True
-        statuses = self.statuses
-        if self.table.representation == DIRECT:
-            done = self.done_mask
-            for b, entry in enumerate(self.table.entries):
-                if (statuses[b] < BlockStatus.IN_EXECUTION
-                        and not entry.dep_mask & ~done):
-                    return True
-            return False
-        for b in self._by_priority.get(self.priority_counter, ()):
-            if statuses[b] < BlockStatus.IN_EXECUTION:
-                return True
-        return False
+        return ((transfer is not None and transfer[0] == "alloc")
+                or self._first_ready(BlockStatus.IN_EXECUTION) is not None)
 
-    def _prefetchable(self, b: int) -> bool:
-        """Dependencies all running or finished; for priorities, this level
-        or the one right after the running level."""
-        entry = self.table.entries[b]
-        if self.table.representation == DIRECT:
-            mask = entry.dep_mask
-            i = 0
-            while mask:
-                if mask & 1 and self.statuses[i] not in (
-                        BlockStatus.IN_EXECUTION, BlockStatus.DONE):
-                    return False
-                mask >>= 1
-                i += 1
-            return True
-        return entry.priority in (self.priority_counter, self.priority_counter + 1)
+    def _prefetch_candidate(self) -> int | None:
+        """The first waiting block whose dependences have all started; for
+        priorities, of the running level, else of the next level."""
+        statuses = self.statuses
+        wait = BlockStatus.WAIT
+        if self._direct:
+            started = sum(1 << b for b, status in enumerate(statuses)
+                          if status >= BlockStatus.IN_EXECUTION)
+            for b, deps in enumerate(self._deps):
+                if statuses[b] is wait and not deps & ~started:
+                    return b
+            return None
+        counter = self.priority_counter
+        for level in self._levels[counter:counter + 2]:
+            for b in level:
+                if statuses[b] is wait:
+                    return b
+        return None
 
     # ── engine entry points ────────────────────────────────────────
 
@@ -191,90 +207,46 @@ class Scheduler:
                     self._record(now, "switch", b, core.core_id)
                     break
 
-        if now < self.busy_until or self.transfer is not None:
+        if self.transfer is not None:
             # nothing this tick reads can change before the transfer lands or
             # a core starts or finishes a block, and each of those sets
             # `dirty` again; until then the engine need not call tick
             self.dirty = False
             return
 
-        # one cold allocation, else one prefetch start, per non-busy tick
-        if self._try_alloc(now):
+        # one cold allocation, else one prefetch start, per tick without a
+        # transfer in flight
+        if self._try_transfer(now, "alloc"):
             return
-        if self.prefetch_enabled and self._try_prefetch(now):
+        if self.prefetch_enabled and self._try_transfer(now, "prefetch"):
             return
         self.dirty = False
 
-    def _alloc_candidates(self) -> list[int]:
-        statuses = self.statuses
-        if self.table.representation == DIRECT:
-            done = self.done_mask
-            entries = self.table.entries
-            return [b for b, status in enumerate(statuses)
-                    if status == BlockStatus.WAIT
-                    and (entries[b].dep_mask & ~done) == 0]
-        level = self._by_priority.get(self.priority_counter, ())
-        return [b for b in level if statuses[b] == BlockStatus.WAIT]
-
-    def _prefetch_candidates(self) -> list[int]:
-        statuses = self.statuses
-        if self.table.representation == DIRECT:
-            return [b for b, status in enumerate(statuses)
-                    if status == BlockStatus.WAIT and self._prefetchable(b)]
-        out = []
-        for level in (self.priority_counter, self.priority_counter + 1):
-            for b in self._by_priority.get(level, ()):
-                if statuses[b] == BlockStatus.WAIT:
-                    out.append(b)
-        return out
-
-    def _try_alloc(self, now: int) -> bool:
-        target = None
-        for core in self.cores:
-            if (core.executing is None and core.switch_until is None
-                    and (core.slots[0] is None or core.slots[1] is None)):
-                target = core
+    def _try_transfer(self, now: int, kind: str) -> bool:
+        """Start moving a block into a free cache slot of the first core
+        that can take it: an idle core for a cold allocation ("alloc"),
+        any core not switching for a prefetch ("prefetch")."""
+        alloc = kind == "alloc"
+        for target in self.cores:
+            if ((not alloc or target.executing is None)
+                    and target.switch_until is None and None in target.slots):
                 break
-        if target is None:
+        else:
             return False
-        cand = self._alloc_candidates()
-        if not cand:
+        b = (self._first_ready(BlockStatus.PREFETCH) if alloc
+             else self._prefetch_candidate())
+        if b is None:
             return False
-        b = cand[0]
-        slot = 0 if target.slots[0] is None else 1
+        slot = target.slots.index(None)
         finish = now + transfer_cost(self.table.entries[b].length,
                                      self.sched_response,
                                      self.fetch_bandwidth)
         target.slots[slot] = b
         target.slot_loaded[slot] = False
-        self._set_status(b, BlockStatus.IN_EXECUTION)
-        self.transfer = ("alloc", b, target.core_id, slot, finish)
-        self.busy_until = finish
-        self._record(now, "alloc", b, target.core_id)
-        return True
-
-    def _try_prefetch(self, now: int) -> bool:
-        target = None
-        for core in self.cores:
-            if (core.switch_until is None
-                    and (core.slots[0] is None or core.slots[1] is None)):
-                target = core
-                break
-        if target is None:
-            return False
-        cand = self._prefetch_candidates()
-        if not cand:
-            return False
-        b = cand[0]
-        slot = 0 if target.slots[0] is None else 1
-        finish = now + transfer_cost(self.table.entries[b].length,
-                                     self.sched_response,
-                                     self.fetch_bandwidth)
-        target.slots[slot] = b
-        target.slot_loaded[slot] = False
-        self._set_status(b, BlockStatus.PREFETCH)
-        self.transfer = ("prefetch", b, target.core_id, slot, finish)
-        self._record(now, "prefetch", b, target.core_id)
+        self._set_status(b, BlockStatus.IN_EXECUTION if alloc
+                         else BlockStatus.PREFETCH)
+        self.transfer = (kind, b, target.core_id, slot, finish)
+        self._record(now, kind, b, target.core_id)
         return True
 
     def notify_done(self, b: int, core, now: int) -> None:
@@ -286,12 +258,12 @@ class Scheduler:
         slot = core.slots.index(b)
         core.slots[slot] = None
         core.slot_loaded[slot] = False
-        if self.table.representation != DIRECT:
-            prio = self.table.entries[b].priority
-            self._level_remaining[prio] -= 1
-            remaining = self._level_remaining
+        if not self._direct:
+            statuses = self.statuses
+            levels = self._levels
             counter = self.priority_counter
-            while counter <= self._max_prio and remaining.get(counter, 0) == 0:
+            while levels[counter] and all(
+                    statuses[x] is BlockStatus.DONE for x in levels[counter]):
                 counter += 1
             self.priority_counter = counter
         self._record(now, "done", b, core.core_id)

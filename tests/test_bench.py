@@ -149,6 +149,19 @@ def test_make_benchmark_registry():
         make_benchmark("nope")
 
 
+def test_unknown_benchmark_parameter_is_refused():
+    assert make_benchmark("dense", qubits=4, steps=2).name == "dense4x2"
+    with pytest.raises(ValueError, match="'qubit'.*qubits, steps"):
+        make_benchmark("dense", qubit=4, steps=2)
+    with pytest.raises(ValueError, match="'bias'"):
+        make_benchmark("dense", bias=0.1)
+    r = _cli("bench", "dense", "qubit=4", "steps=2")
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr.startswith("error:") and "'qubit'" in r.stderr
+    r = _cli("bench", "dense", "--bias", "0.1")
+    assert r.returncode == 1 and "'bias'" in r.stderr
+
+
 def test_rus_terminates_at_half_bias():
     p = gen_parallel_rus(1, failure_bias=0.5)
     for seed in range(1, 30):

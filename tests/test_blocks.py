@@ -6,7 +6,7 @@ import pytest
 
 from qcpsim.blocks import (
     DIRECT, PRIORITY, BlockInfoEntry, BlockInfoTable, TableError,
-    build_table, deps_satisfied, level_assignment, pack_priority_entry,
+    build_table, level_assignment, pack_priority_entry,
     to_direct_table, to_priority_table, unpack_priority_entry,
 )
 from qcpsim.isa import MAX_BLOCKS, parse_program
@@ -72,60 +72,6 @@ def test_build_table_capacity():
                               for i in range(MAX_BLOCKS + 1)]))
 
 
-def test_deps_satisfied_direct_example():
-    t = build_table(_program([
-        ".block W1 start=0 end=9 deps=none",
-        ".block W2 start=10 end=19 deps=none",
-        ".block W3 start=20 end=29 deps=W1+W2",
-    ]))
-    assert deps_satisfied(t, 0b011, 0, 2)
-    assert not deps_satisfied(t, 0b001, 0, 2)
-    assert deps_satisfied(t, 0, 0, 0)  # empty dependency vector
-
-
-def _random_dag_tables(rng, blocks):
-    deps = []
-    for i in range(blocks):
-        mask = 0
-        for j in range(i):
-            if rng.random() < 0.4:
-                mask |= 1 << j
-        deps.append(mask)
-    entries = tuple(BlockInfoEntry(i, f"b{i}", 10 * i, 10 * i + 9, dep_mask=m)
-                    for i, m in enumerate(deps))
-    return BlockInfoTable(entries, DIRECT), deps
-
-
-def test_deps_satisfied_matches_subset_oracle():
-    rng = random.Random(7)
-    for _ in range(25):
-        n = rng.randrange(1, 9)
-        table, deps = _random_dag_tables(rng, n)
-        for bits in range(1 << n):
-            done = bits
-            for b in range(n):
-                # oracle: every predecessor present in the done set
-                expected = all((done >> j) & 1 for j in range(n)
-                               if (deps[b] >> j) & 1)
-                assert deps_satisfied(table, done, 0, b) == expected
-
-
-def test_monotone_readiness():
-    rng = random.Random(11)
-    table, _ = _random_dag_tables(rng, 8)
-    order = list(range(8))
-    rng.shuffle(order)
-    done = 0
-    ready_seen = set()
-    for b in order:
-        for probe in range(8):
-            if deps_satisfied(table, done, 0, probe):
-                ready_seen.add(probe)
-        for probe in ready_seen:
-            assert deps_satisfied(table, done, 0, probe)
-        done |= 1 << b
-
-
 def _priority_table(prios):
     entries = tuple(BlockInfoEntry(i, f"b{i}", 10 * i, 10 * i + 9, priority=p)
                     for i, p in enumerate(prios))
@@ -157,6 +103,70 @@ def _finish(sched, b):
     return sched.priority_counter
 
 
+def _ready(table, done, b):
+    """`Scheduler.ready` of block b once the blocks in the `done` mask
+    have finished."""
+    sched = _scheduler(table)
+    for d in range(len(table)):
+        if (done >> d) & 1:
+            _finish(sched, d)
+    return sched.ready(b)
+
+
+def test_deps_satisfied_direct_example():
+    t = build_table(_program([
+        ".block W1 start=0 end=9 deps=none",
+        ".block W2 start=10 end=19 deps=none",
+        ".block W3 start=20 end=29 deps=W1+W2",
+    ]))
+    assert _ready(t, 0b011, 2)
+    assert not _ready(t, 0b001, 2)
+    assert _ready(t, 0, 0)  # empty dependency vector
+
+
+def _random_dag_tables(rng, blocks):
+    deps = []
+    for i in range(blocks):
+        mask = 0
+        for j in range(i):
+            if rng.random() < 0.4:
+                mask |= 1 << j
+        deps.append(mask)
+    entries = tuple(BlockInfoEntry(i, f"b{i}", 10 * i, 10 * i + 9, dep_mask=m)
+                    for i, m in enumerate(deps))
+    return BlockInfoTable(entries, DIRECT), deps
+
+
+def test_deps_satisfied_matches_subset_oracle():
+    rng = random.Random(7)
+    for _ in range(25):
+        n = rng.randrange(1, 9)
+        table, deps = _random_dag_tables(rng, n)
+        for bits in range(1 << n):
+            done = bits
+            for b in range(n):
+                # oracle: every predecessor present in the done set
+                expected = all((done >> j) & 1 for j in range(n)
+                               if (deps[b] >> j) & 1)
+                assert _ready(table, done, b) == expected
+
+
+def test_monotone_readiness():
+    rng = random.Random(11)
+    table, _ = _random_dag_tables(rng, 8)
+    order = list(range(8))
+    rng.shuffle(order)
+    sched = _scheduler(table)
+    ready_seen = set()
+    for b in order:
+        for probe in range(8):
+            if sched.ready(probe):
+                ready_seen.add(probe)
+        for probe in ready_seen:
+            assert sched.ready(probe)
+        _finish(sched, b)
+
+
 def test_advance_counter_example():
     sched = _scheduler(_priority_table([0, 0, 1, 2]))
     assert _finish(sched, 0) == 0     # the other priority-0 block is pending
@@ -164,11 +174,10 @@ def test_advance_counter_example():
 
 
 def test_advance_counter_terminal():
-    t = _priority_table([0, 0, 1, 2])
-    sched = _scheduler(t)
+    sched = _scheduler(_priority_table([0, 0, 1, 2]))
     for b in range(4):
         counter = _finish(sched, b)
-    assert counter == t.max_priority + 1
+    assert counter == 3               # one past the last of the three levels
 
 
 def test_counter_trace_matches_min_pending_oracle():
@@ -221,17 +230,9 @@ def test_priority_direct_equivalent_order_sets():
             rec(0, [])
             return out
 
-        direct_orders = orders(lambda done, b: deps_satisfied(table, done, 0, b))
-
-        def prio_ready(done, b):
-            # the counter depends only on which blocks are done
-            sched = _scheduler(ptable)
-            for d in range(n):
-                if (done >> d) & 1:
-                    _finish(sched, d)
-            return sched.ready(b)
-
-        prio_orders = orders(prio_ready)
+        direct_orders = orders(lambda done, b: _ready(table, done, b))
+        # the counter depends only on which blocks are done
+        prio_orders = orders(lambda done, b: _ready(ptable, done, b))
         # priority levels are a coarsening: every priority-legal order is
         # direct-legal, and levelwise orders exist in both
         assert prio_orders <= direct_orders

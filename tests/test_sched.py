@@ -1,5 +1,7 @@
 """Block scheduling: allocation, prefetching, cache switches, completion."""
 
+import random
+
 import pytest
 
 from qcpsim.blocks import build_table, to_priority_table
@@ -331,3 +333,54 @@ def test_can_start_block_while_an_allocation_is_in_flight(priority):
     assert sched.transfer is None and not sched.can_start_block()
     _finish(sched, 0, 10)
     assert sched.can_start_block()
+
+
+def _prio_program(prios, length=4):
+    # one block of `length` single-qubit gates per priority, on its own qubit
+    lines = [f".qubits {len(prios)}"]
+    for b in range(len(prios)):
+        lines += [f"{0 if k == 0 else 2} H q{b}" for k in range(length)]
+    lines += [f".block b{b} start={length * b} end={length * b + length - 1}"
+              f" prio={p}" for b, p in enumerate(prios)]
+    return parse_program("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_priorities_need_not_start_at_zero(cores):
+    # levels are read by rank, so a table whose lowest priority is 1 starts
+    # at once instead of waiting for a level 0 that no block has
+    trace = _run(_prio_program([1, 3]), cores=cores)
+    assert sorted(e.block for e in trace.scheduler_events
+                  if e.action == "done") == [0, 1]
+    compact = _run(_prio_program([0, 1]), cores=cores)
+    assert trace.scheduler_events == compact.scheduler_events
+    assert trace.total_cycles == compact.total_cycles
+
+
+def test_next_existing_level_is_prefetched():
+    # with one core, block b1 is prefetched while b0 runs although no
+    # block has priority 1
+    trace = _run(_prio_program([0, 2]), cores=1)
+    ev = [(e.action, e.block) for e in trace.scheduler_events]
+    assert ev == [("preload", 0), ("switch", 0), ("prefetch", 1), ("done", 0),
+                  ("switch", 1), ("done", 1)]
+
+
+def test_gapped_priorities_run_like_compacted_ones():
+    # only the order of the distinct priorities matters: offset and gapped
+    # levels give the same run as the same table with levels 0..k-1
+    rng = random.Random(13)
+    for _ in range(40):
+        n = rng.randrange(1, 7)
+        k = rng.randrange(1, n + 1)
+        levels = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
+        rng.shuffle(levels)
+        values = sorted(rng.sample(range(1, 256), k))
+        gapped = _prio_program([values[lv] for lv in levels])
+        compact = _prio_program(levels)
+        cfg = dict(cores=rng.randrange(1, 5), prefetch=rng.random() < 0.7,
+                   t_switch=rng.choice((0, 2)))
+        a, b = _run(gapped, **cfg), _run(compact, **cfg)
+        assert a.scheduler_events == b.scheduler_events, (levels, values, cfg)
+        assert a.block_spans == b.block_spans
+        assert a.total_cycles == b.total_cycles
