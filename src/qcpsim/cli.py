@@ -195,7 +195,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse leaves a positional after an option unparsed, so generator
+    # parameters that follow the options of `bench` come back here
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        if args.command != "bench" or any(a.startswith("-") for a in extra):
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args.param += extra
     try:
         return args.func(args)
     except (ParseError, ValidationFault, ConfigError, ValueError) as e:

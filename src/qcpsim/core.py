@@ -26,12 +26,11 @@ rule would spend the same way, and only up to `_horizon`: until then no
 other core acts and no block starts, so nothing else can see that the
 cycles ran early. The scheduler bounds that horizon only while one of its
 ticks could start a block; ticks that can only start or land prefetches
-run beside the call. It hands a timing point's leading group and the run of
-label-0 groups that join the point in the following cycles to the point in
-one step, with the number of cycles the rule spends on them: refills top
-the buffer up one issue width at a time, so each of those cycles takes the
-run's next issue width of instructions, and the count is arithmetic. Tests
-replace either fast path by the rule and compare every output.
+run beside the call. Its loop dispatches one whole timing point per step,
+with the number of cycles the rule spends on it. Refills top the buffer up
+one issue width at a time, so each of those cycles takes the point's next
+issue width of instructions, and the count is arithmetic. Tests replace
+either fast path by the rule and compare every output.
 
 Each result register is a `[value, ready_ns, producers]` list: a
 measurement's result is readable from `ready_ns` on, and `producers` counts
@@ -169,7 +168,7 @@ class Core:
     __slots__ = (
         "core_id", "engine", "width", "clock", "depth_offset",
         "branch_penalty", "ctx_cycles", "regs", "flag_eq", "flag_lt",
-        "slots", "slot_loaded", "switch_until", "_switch_args", "executing",
+        "slots", "slot_loaded", "switch_until", "switch_args", "executing",
         "finished_block", "pc", "pc_end", "stream_ended", "pending",
         "entries", "pop_idx", "open_entry", "chain_sched", "prev_actual",
         "anchor", "injected", "mrce_contexts", "scoreboard", "ctx_pause",
@@ -198,7 +197,7 @@ class Core:
         self.slots: list[int | None] = [None, None]
         self.slot_loaded = [False, False]
         self.switch_until: int | None = None
-        self._switch_args: tuple | None = None
+        self.switch_args: tuple | None = None
 
         self.executing: int | None = None
         self.finished_block: int | None = None
@@ -258,7 +257,7 @@ class Core:
                      pc_start: int, pc_end: int) -> None:
         self._check_idle(block)
         self.switch_until = start_cycle
-        self._switch_args = (block, slot, start_cycle, pc_start, pc_end)
+        self.switch_args = (block, slot, start_cycle, pc_start, pc_end)
         self.next_call = 0
         self.engine.activate(self)
 
@@ -297,8 +296,8 @@ class Core:
         or None for "call again at cycle + 1"."""
         if self.switch_until is not None:
             if cycle >= self.switch_until:
-                args = self._switch_args
-                self.switch_until = self._switch_args = None
+                args = self.switch_args
+                self.switch_until = self.switch_args = None
                 self.start_block(*args)
             else:
                 return self.switch_until
@@ -477,148 +476,92 @@ class Core:
         scoreboard: the cycle dispatches the leading group.
 
         This is the fast path of the one dispatch rule. It goes on to run
-        the cycles after `cycle` in the same call, one group each, while the
-        general rule would do just that in each of them (the buffer holds
-        only quantum work, and with the scoreboard empty no conditional
-        context is open to resolve), up to `_horizon`. A full group whose
-        next item has label 0 starts a run of groups that join one timing
-        point; `_dispatch_run` hands the run to the point in one step, with
-        the cycles the rule spends on it. Timing points that fall due in
-        those cycles issue when the call returns. Returns how many cycles it
-        ran past `cycle`.
+        the cycles after `cycle` in the same call while the general rule
+        would dispatch one group in each of them (the buffer holds only
+        quantum work, and with the scoreboard empty no conditional context
+        is open to resolve), up to `_horizon`. Each step of its loop hands
+        one timing point to `_dispatch_group`: the buffer's leading item and
+        the label-0 items that join it, with the cycles the rule spends on
+        them, one cycle for a point no wider than the issue width.
+
+        The count of cycles is arithmetic. The buffer holds at least `width`
+        items or the rest of the stream whenever a cycle starts, as a
+        refill adds one chunk of `width` stream items whenever it holds
+        fewer, so each cycle takes the point's next `width` items (the last
+        cycle, fewer) from the buffer followed by `items[pc:]`. The point
+        ends at the next non-zero label or at the end of the stream. The
+        call ends earlier at the horizon, whose cycle does not refill, and
+        after a cycle whose refill would fetch a chunk holding a classical,
+        MRCE or END item. Timing points that fall due in those cycles issue
+        when the call returns. Returns how many cycles it ran past `cycle`.
         """
         pending = self.pending
         width = self.width
         items = self.engine.items
         end = self.pc_end + 1
-        last = self._horizon(cycle)
         x = cycle
+        left = self._horizon(cycle) - cycle    # the cycles after `x` it may run
         while True:
-            glen = len(pending)
-            if glen > width:
-                glen = width
-            for i in range(1, glen):
-                if pending[i][1] != 0:
-                    glen = i
+            held = len(pending)
+            pc = past = self.pc
+            # the point's length `n`; `past` is the first stream item after it
+            n = held
+            for i in range(1, held):
+                if pending[i][1]:
+                    n = i
                     break
             else:
-                if glen == width and x < last:
-                    if len(pending) > width:
-                        item = pending[width]
-                    elif self.stream_ended:
-                        item = None
-                    else:
-                        item = items[self.pc]
-                    if item is not None and not (item[0] or item[1]):
-                        # quantum with label 0: the next cycle's group
-                        # joins this one's point
-                        x, stop = self._dispatch_run(x, last)
-                        if stop or not pending:
-                            return x - cycle
-                        x += 1
-                        continue
-            group = pending[:glen]
-            del pending[:glen]
-            self._dispatch_group(group, x)
-            if x == last:
-                return x - cycle
-            if len(pending) < width and not self.stream_ended:
-                # the refill of `_dispatch`; when it would bring in a
-                # classical, MRCE or END instruction, `_dispatch` takes the
-                # next cycle instead
-                pc = self.pc
-                n = end - pc
-                if n > width:
-                    n = width
-                fetched = items[pc:pc + n]
-                for item in fetched:
-                    if item[0] != K_QUANTUM:
-                        return x - cycle
-                pending.extend(fetched)
-                self.pc = pc + n
-                if self.pc >= end:
-                    self.stream_ended = True
-            if not pending:
-                return x - cycle
-            x += 1
-
-    def _dispatch_run(self, x: int, last: int) -> tuple[int, bool]:
-        """Dispatch in one step the groups that the loop of
-        `_dispatch_quantum` would dispatch one per cycle from cycle `x` on,
-        while each after the first joins the first one's timing point. The
-        caller has seen that the buffer's first `width` items form a full
-        group. Returns the run's last cycle and whether the loop stops
-        after it.
-
-        The count of cycles is arithmetic. The buffer holds at least
-        `width` items or the rest of the stream whenever a cycle starts, as
-        a refill adds one chunk of `width` stream items whenever it holds
-        fewer, so each cycle takes the run's next `width` items (the last
-        cycle, fewer) from the buffer followed by `items[pc:]`. The run
-        ends at the next non-zero label or at the end of the stream. The
-        loop stops earlier at the horizon `last`, whose cycle does not
-        refill, and after a cycle whose refill would fetch a chunk holding
-        a classical, MRCE or END item.
-        """
-        pending = self.pending
-        width = self.width
-        items = self.engine.items
-        end = self.pc_end + 1
-        held = len(pending)
-        pc = self.pc
-        avail = 0 if self.stream_ended else end - pc
-        span = last - x + 1
-        reach = span * width
-        # the run's length `n`, no longer than the horizon lets dispatch
-        n = held if held < reach else reach
-        for i in range(width, n):
-            if pending[i][1]:
-                n = i
-                break
-        else:
-            if n < reach and avail:
-                i = pc
-                stop = end if held + avail <= reach else pc + reach - held
-                while i < stop:
-                    item = items[i]
-                    if item[0] or item[1]:      # not quantum, or a label
-                        break
-                    i += 1
-                n += i - pc
-        cycles = -(-n // width)
-        if cycles < span:
-            taken = n       # the items taken up to the last refill
-            done = False
-        else:
-            cycles = span
-            taken = reach - width
-            done = True
-        took = n
-        if avail:
-            # one chunk for each cycle that leaves fewer than `width` items
-            fetch = -((held - taken - width) // width) * width
-            if fetch > 0:
-                fetched = items[pc:pc + fetch if fetch < avail else end]
-                # the run's own items are quantum; each decoded item ends
-                # with its pc
-                k = n - held
-                for item in fetched[k:] if k > 0 else fetched:
-                    if item[0] != K_QUANTUM:
+                # the stream, no further than the cycles up to the horizon
+                # can take; a cycle with none after it takes only from the
+                # buffer, which holds `width` items or the rest of the stream
+                if left and not self.stream_ended:
+                    stop = pc + (left + 1) * width - held
+                    if stop > end:
+                        stop = end
+                    while past < stop:
+                        item = items[past]
+                        if item[0] or item[1]:      # not quantum, or a label
+                            break
+                        past += 1
+                    n += past - pc
+            cycles = -(-n // width)
+            if cycles > left:
+                # the horizon's cycle takes what it can and does not refill
+                cycles = left + 1
+                taken = left * width
+                if n > taken + width:
+                    n = taken + width
+            else:
+                taken = n       # the items taken up to the last refill
+            if held - taken < width and not self.stream_ended:
+                # one chunk for each cycle that leaves fewer than `width`
+                # items; the point's own items are quantum
+                top = pc - (held - taken - width) // width * width
+                if top > end:
+                    top = end
+                for item in items[past:top]:
+                    if item[0]:     # a classical, MRCE or END item
+                        # the cycle whose refill would fetch its chunk is
+                        # the call's last, and `_dispatch` takes the next;
+                        # each decoded item ends with its pc
                         chunk = (item[-1] - pc) // width
-                        del fetched[chunk * width:]
+                        top = pc + chunk * width
                         cycles = held // width + chunk
-                        if took > cycles * width:
-                            took = cycles * width
-                        done = True
+                        if n > cycles * width:
+                            n = cycles * width
+                        left = cycles - 1
                         break
-                pending += fetched
-                self.pc = pc = pc + len(fetched)
-                if pc >= end:
+                pending += items[pc:top]
+                self.pc = top
+                if top >= end:
                     self.stream_ended = True
-        run = pending[:took]
-        del pending[:took]
-        self._dispatch_group(run, x, cycles)
-        return x + cycles - 1, done
+            run = pending[:n]
+            del pending[:n]
+            self._dispatch_group(run, x, cycles)
+            if cycles > left or not pending:
+                return x + cycles - 1 - cycle
+            x += cycles
+            left -= cycles
 
     def _horizon(self, cycle: int) -> int:
         """The last cycle this core may run ahead to in a call at `cycle`.

@@ -96,6 +96,22 @@ class Scheduler:
             raise SimulatorBug(f"illegal status transition {old.name} -> "
                                f"{status.name} for block {b}")
         self.statuses[b] = status
+        # a block sits in exactly one cache slot from its load until its
+        # core has finished it, and the core that holds it, the only one
+        # that can run it, runs or switches to it only in execution
+        held = 0
+        for core in self.cores:
+            if b in core.slots:
+                held += core.slots.count(b)
+                holder = core
+        if held != 1:
+            raise SimulatorBug(f"block {b} is {status.name} in {held} "
+                               f"cache slots")
+        if status is not BlockStatus.IN_EXECUTION and (
+                holder.executing == b or holder.switch_until is not None
+                and holder.switch_args[0] == b):
+            raise SimulatorBug(f"core {holder.core_id} runs block {b}, "
+                               f"which is {status.name}")
 
     def _record(self, cycle: int, action: str, block: int, core: int) -> None:
         self.events.append(tuple.__new__(

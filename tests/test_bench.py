@@ -247,6 +247,23 @@ def test_cli_bench_sweep(tmp_path):
     assert data["cells"]["2"]["speedup"] > 1.0
 
 
+def test_cli_bench_parameters_may_follow_options():
+    before = _cli("bench", "steane", "rounds=1", "--bias", "0.2")
+    after = _cli("bench", "steane", "--bias", "0.2", "rounds=1")
+    assert before.returncode == 0, before.stderr
+    assert after.returncode == 0, after.stderr
+    assert after.stdout == before.stdout
+    assert json.loads(after.stdout)["bias"] == 0.2
+    r = _cli("bench", "steane", "--bias", "0.2", "rounds")
+    assert r.returncode == 1
+    assert "bad parameter 'rounds', expected name=value" in r.stderr
+    # an unknown option is still refused, after the parameters as before
+    r = _cli("bench", "steane", "rounds=1", "--round", "1")
+    assert r.returncode == 2 and "unrecognized arguments: --round" in r.stderr
+    r = _cli("run", "prog.qasm", "rounds=1")
+    assert r.returncode == 2 and "unrecognized arguments: rounds=1" in r.stderr
+
+
 def test_cli_compare(tmp_path):
     asm = tmp_path / "prog.qasm"
     asm.write_text(print_program(gen_dense(8, 10)))

@@ -83,6 +83,8 @@ class _StubCore:
 
     core_id = 0
     exec_start_cycle = 0
+    executing = None
+    switch_until = None
 
     def __init__(self):
         self.slots = [None, None]
@@ -97,8 +99,8 @@ def _scheduler(table):
 def _finish(sched, b):
     """Complete block b as a core does; returns the priority counter."""
     core = sched.cores[0]
-    sched._set_status(b, BlockStatus.IN_EXECUTION)
     core.slots = [b, None]
+    sched._set_status(b, BlockStatus.IN_EXECUTION)
     sched.notify_done(b, core, 0)
     return sched.priority_counter
 

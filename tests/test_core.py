@@ -688,6 +688,12 @@ LONG_RUNS = parse_program("\n".join(
 CUT_RUNS = _two_blocks(9, _runs((30, 40, 25, 33)) + ["END"],
                        ["0 H q8"] + ["20 H q8"] * 6 + ["END"])
 
+# short runs, and block B issues a timing point every 3 cycles: a point
+# that starts with more than the issue width of its items in the buffer
+# meets the horizon in its first cycle, which takes only the issue width
+SHORT_CUT_RUNS = _two_blocks(9, _runs((2, 6, 9)) + ["END"],
+                             ["0 H q8"] + ["3 H q8"] * 8 + ["END"])
+
 # a measurement inside a run, read by a later FMR
 MEAS_RUN = parse_program("\n".join([
     ".qubits 6", "1 H q0", "0 MEAS q1 -> r3", "0 H q2", "0 H q3", "0 H q4",
@@ -715,6 +721,9 @@ def _join_configs():
                for width in (1, 2, 4, 8)]
     configs += [(CUT_RUNS, MachineConfig(cores=2, superscalar_width=width))
                 for width in (1, 2, 4)]
+    configs += [(SHORT_CUT_RUNS,
+                 MachineConfig(cores=2, superscalar_width=width))
+                for width in (2, 4)]
     for width in (1, 2):
         for seed in (1, 2, 3):
             cfg = MachineConfig(superscalar_width=width, seed=seed)
@@ -830,7 +839,8 @@ def test_quantum_fast_path_matches_general_rule(monkeypatch):
 
 def test_one_dispatch_group_call_per_timing_point(monkeypatch):
     # a timing point's leading group and the label-0 groups that join it in
-    # later cycles go to `_dispatch_group` together, at every width
+    # later cycles go to `_dispatch_group` together, at every width, and so
+    # does a point narrower than the issue width
     calls = []
     dispatch_group = Core._dispatch_group
 
@@ -839,11 +849,13 @@ def test_one_dispatch_group_call_per_timing_point(monkeypatch):
         return dispatch_group(core, *args)
 
     monkeypatch.setattr(Core, "_dispatch_group", counted)
-    program = gen_dense(8, 300)
-    for width in (1, 2, 4, 8):
+    cases = [(gen_dense(8, 300), width, 300) for width in (1, 2, 4, 8)]
+    cases += [(gen_dense(qubits, 100), width, 100)
+              for qubits in (3, 5) for width in (4, 8)]
+    for program, width, points in cases:
         calls.clear()
         Engine(program, MachineConfig(superscalar_width=width)).run()
-        assert len(calls) == 300, width
+        assert len(calls) == points, (len(program.instructions), width)
 
 
 def test_fast_path_leaves_the_buffer_as_the_rule_does(monkeypatch):
@@ -859,7 +871,8 @@ def test_fast_path_leaves_the_buffer_as_the_rule_does(monkeypatch):
         return dispatch_and_record
 
     skipped = 0
-    for program, cfg in _join_configs() + _probe_configs():
+    for program, cfg in (_join_configs() + _probe_configs()
+                         + _differential_configs()):
         fast, rule = {}, {}
         for dispatch, states in ((Core._dispatch_quantum, fast),
                                  (_general_rule, rule)):

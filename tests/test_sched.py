@@ -136,8 +136,49 @@ def test_status_transitions_legal():
                       t_switch=2, prefetch=False)
     with pytest.raises(SimulatorBug):
         sched._set_status(0, BlockStatus.DONE)   # WAIT -> DONE is illegal
+    sched.cores[0].slots[0] = 0     # a block in execution holds a cache slot
     sched._set_status(0, BlockStatus.IN_EXECUTION)
     sched._set_status(0, BlockStatus.DONE)
+    # the core that holds a block runs it only while it is in execution
+    sched.cores[0].slots[1] = 1
+    sched.cores[0].executing = 1
+    with pytest.raises(SimulatorBug,
+                       match="core 0 runs block 1, which is PREFETCH"):
+        sched._set_status(1, BlockStatus.PREFETCH)
+
+
+_honest_transfer = Scheduler._try_transfer
+
+
+def _faulty_transfer(fault):
+    """`Scheduler._try_transfer` with one fault in the cache slot it fills:
+    "copy" also puts the block into another core's free slot, "lost"
+    empties the slot again."""
+    def transfer(sched, now, kind):
+        if not _honest_transfer(sched, now, kind):
+            return False
+        _, b, c, slot, _ = sched.transfer
+        if fault == "lost":
+            sched.cores[c].slots[slot] = None
+        else:
+            for core in sched.cores:
+                if core.core_id != c and None in core.slots:
+                    core.slots[core.slots.index(None)] = b
+                    break
+        return True
+    return transfer
+
+
+@pytest.mark.parametrize("fault, prefetch, message", [
+    ("copy", True, "block 2 is IN_EXECUTION in 2 cache slots"),
+    ("lost", False, "block 0 is DONE in 0 cache slots")])
+def test_block_ownership_is_checked_where_a_status_changes(
+        monkeypatch, fault, prefetch, message):
+    # the copied prefetch is caught when it is switched in, the lost
+    # allocation when its block finishes
+    monkeypatch.setattr(Scheduler, "_try_transfer", _faulty_transfer(fault))
+    with pytest.raises(SimulatorBug, match=message):
+        _run(_four_block_program(), cores=2, prefetch=prefetch)
 
 
 def test_uniprocessor_degeneracy_matches_serial_oracle():
