@@ -326,12 +326,11 @@ class ExperimentSpec:
 
 def _config_for(spec: ExperimentSpec, config: MachineConfig,
                 seed: int, steps: bool) -> MachineConfig:
-    # a report reads the step records, never the issue events
+    # only the first repetition's report reads the point log
     qpu = config.qpu
     if spec.bias is not None:
         qpu = replace(qpu, outcome_bias=spec.bias)
-    return replace(config, qpu=qpu, seed=seed, collect_events=False,
-                   collect_steps=steps)
+    return replace(config, qpu=qpu, seed=seed, collect_steps=steps)
 
 
 def run_experiment(spec: ExperimentSpec, config: MachineConfig) -> RunReport:

@@ -35,7 +35,6 @@ class MachineConfig:
     seed: int = 1
     dependency_mode: str = "auto"     # auto | direct | priority
     deadlock_timeout_cycles: int = 1_000_000
-    collect_events: bool = True
     collect_steps: bool = True
 
     @property
@@ -74,9 +73,9 @@ class MachineConfig:
                        fetch_bandwidth=1_000_000, prefetch=False)
 
     def to_dict(self) -> dict:
-        """Every field of the machine and its device; the `collect_*`
-        switches are left out, since they choose what a run records, not
-        the machine it simulates."""
+        """Every field of the machine and its device; `collect_steps` is
+        left out, since it chooses what a run records, not the machine it
+        simulates."""
         out = {f.name: getattr(self, f.name) for f in fields(self)
                if not f.name.startswith("collect_")}
         q = self.qpu

@@ -500,7 +500,10 @@ class Core:
         items = self.engine.items
         end = self.pc_end + 1
         x = cycle
-        left = self._horizon(cycle) - cycle    # the cycles after `x` it may run
+        # the cycles after `x` it may run: up to the horizon, and no more
+        # than the items left, so a lone core's `NEVER` stays a small int
+        left = min(self._horizon(cycle) - cycle,
+                   len(pending) + max(end - self.pc, 0))
         while True:
             held = len(pending)
             pc = past = self.pc
@@ -956,9 +959,8 @@ class Core:
             engine.violations.append((core_id, local, actual))
         self.prev_actual = actual
         qpu = engine.qpu
-        sched = entry.sched
         ops = entry.ops
-        qpu.accept_issue(actual, sched, ops, core_id)
+        qpu.accept_issue(actual, ops)
         if entry.has_meas:
             # the device draws each outcome; the engine's result file holds
             # it once no younger dispatched measurement of the register is
@@ -977,22 +979,22 @@ class Core:
                         reg[0] = value
                         reg[1] = ready
         if engine.collect_steps:
-            engine.steps.append(tuple.__new__(StepRecord, (
-                core_id, entry.block, sched, actual, len(ops),
+            engine.points.append((
+                core_id, entry.block, entry.sched, actual, ops,
                 entry.q_cycles, entry.c_cycles, entry.s_cycles, entry.f_cycles,
-                actual - local, False)))
+                actual - local, False))
 
     def _issue_injected(self, rec: tuple, actual: int) -> None:
         _earliest, sched, point, budget = rec
-        self.engine.qpu.accept_issue(actual, sched, point, self.core_id)
+        self.engine.qpu.accept_issue(actual, point)
         if actual > sched:
             self.engine.violations.append((self.core_id, sched, actual))
         if self.engine.collect_steps:
             cq = 1 if budget >= 1 else 0
             block = self.executing if self.executing is not None else -1
-            self.engine.steps.append(tuple.__new__(StepRecord, (
-                self.core_id, block, sched, actual, 1, cq, 0, 0, budget - cq,
-                actual - sched, True)))
+            self.engine.points.append((
+                self.core_id, block, sched, actual, point, cq, 0, 0,
+                budget - cq, actual - sched, True))
 
     # ── completion ─────────────────────────────────────────────────
 

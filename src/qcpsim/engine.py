@@ -10,6 +10,7 @@ cycle accounting is identical to stepping one cycle at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .blocks import build_table, to_direct_table, to_priority_table
 from .config import MachineConfig
@@ -17,7 +18,7 @@ from .core import (NEVER, SHARED_REG_BASE, Core, StepRecord,
                    decode_for_execution)
 from .isa import (REGISTER_COUNT, Diagnostic, Program, program_hash,
                   validate_program)
-from .qpu import Collision, IssueEvent, QpuState
+from .qpu import Collision, IssueEvent, QpuState, issue_events
 from .sched import Scheduler, SchedulerEvent
 
 __all__ = ["Engine", "PreparedProgram", "RunTrace", "RuntimeFault",
@@ -38,14 +39,16 @@ class ValidationFault(ValueError):
 
 @dataclass
 class RunTrace:
-    """Everything observable about one run."""
+    """Everything observable about one run. `points` logs each issued
+    timing point once, in issue order, as `StepRecord`'s fields with the
+    point's decoded ops for `qices`; `steps` and `events` are views of it,
+    built on first read."""
 
     config: MachineConfig
     total_cycles: int = 0
     total_exec_ns: int = 0
-    steps: list[StepRecord] = field(default_factory=list)
+    points: list[tuple] = field(default_factory=list)
     violations: list[tuple[int, int, int]] = field(default_factory=list)
-    events: list[IssueEvent] = field(default_factory=list)
     collisions: list[Collision] = field(default_factory=list)
     scheduler_events: list[SchedulerEvent] = field(default_factory=list)
     block_spans: list[tuple[int, int, int, int]] = field(default_factory=list)
@@ -53,6 +56,18 @@ class RunTrace:
     result_wait_cycles: int = 0
     drain_cycles: int = 0
     issue_count: int = 0
+
+    @cached_property
+    def steps(self) -> list[StepRecord]:
+        return [tuple.__new__(StepRecord, (
+                    core, block, sched, actual, len(ops), cq, cc, cs, cf,
+                    violation, injected))
+                for (core, block, sched, actual, ops, cq, cc, cs, cf,
+                     violation, injected) in self.points]
+
+    @cached_property
+    def events(self) -> list[IssueEvent]:
+        return issue_events(self.points, self.config.qpu)
 
 
 class PreparedProgram:
@@ -113,14 +128,13 @@ class Engine:
             raise ValidationFault([Diagnostic(
                 "machine", f"program uses {program.qubit_count} qubits, "
                 f"machine has {qubit_count}")])
-        self.qpu = QpuState(config.qpu, max(qubit_count, 1), config.seed,
-                            collect_events=config.collect_events)
+        self.qpu = QpuState(config.qpu, max(qubit_count, 1), config.seed)
 
         # [value, ready_ns, dispatched measurements not yet issued]
         self.result_file = [[0, NEVER, 0] for _ in range(REGISTER_COUNT)]
         self.shared_regs = [0] * (REGISTER_COUNT - SHARED_REG_BASE)
         self.collect_steps = config.collect_steps
-        self.steps: list[StepRecord] = []
+        self.points: list[tuple] = []
         self.violations: list[tuple[int, int, int]] = []
         self.context_switches: list[int] = []
         self.result_wait_total = 0
@@ -233,9 +247,8 @@ class Engine:
         trace = RunTrace(self.config)
         trace.total_cycles = cycle
         trace.total_exec_ns = max(cycle * self.clock, self.qpu.last_event_end_ns)
-        trace.steps = self.steps
+        trace.points = self.points
         trace.violations = self.violations
-        trace.events = self.qpu.events
         trace.collisions = self.qpu.collisions
         trace.scheduler_events = sched.events
         trace.block_spans = sched.block_spans

@@ -190,15 +190,15 @@ def build_report(trace: RunTrace, phash: str = "",
     max_tr = 0.0
     # CES and TR as `StepRecord.ces` and `tr_of_step` give them, inline:
     # two calls per step cost more than the arithmetic
-    for (core, _block, sched, actual, qices, cq, cc, cs, cf,
-         _violation, _injected) in trace.steps:
+    for (core, _block, sched, actual, ops, cq, cc, cs, cf,
+         _violation, _injected) in trace.points:
         ces = cq + cc + cs + cf
         tr = clock * ces / gate
         trs = per_core_trs.get(core)
         if trs is None:
             trs = per_core_trs[core] = []
         append(tuple.__new__(StepMetrics, (core, len(trs), sched, actual,
-                                           qices, cq, cc, cs, cf, ces, tr)))
+                                           len(ops), cq, cc, cs, cf, ces, tr)))
         trs.append(tr)
         if tr > max_tr:
             max_tr = tr

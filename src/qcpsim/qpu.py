@@ -9,11 +9,12 @@ plus acquisition latency. Gate durations only matter for occupancy tracking
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 __all__ = [
     "SplitMix64", "QpuConfig", "IssueEvent", "Collision", "QpuState",
-    "channel_for", "CHANNELS_PER_QUBIT",
+    "channel_for", "issue_events", "CHANNELS_PER_QUBIT",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -102,64 +103,72 @@ def channel_for(gate_name: str, qubit: int) -> int:
     return CHANNELS_PER_QUBIT * qubit + _CH_MICROWAVE
 
 
+@lru_cache(maxsize=64)
+def _gate_table(single: int, two: int, meas: int) -> dict[str, tuple]:
+    """gate -> (duration, channel of qubit 0) for a `QpuConfig`'s gate
+    times; qubit q's channel is CHANNELS_PER_QUBIT * q more. Every caller
+    with the same times shares the one dict, so none may change it."""
+    durations = dict.fromkeys(("X", "Y", "Z", "H", "RX", "RY", "RZ"), single)
+    durations.update(CNOT=two, CZ=two, MEAS=meas)
+    return {gate: (ns, channel_for(gate, 0)) for gate, ns in durations.items()}
+
+
+def issue_events(points, config: QpuConfig) -> list[IssueEvent]:
+    """One `IssueEvent` per qubit of each operation of `points`, issued
+    timing points as `RunTrace.points` logs them."""
+    gates = _gate_table(config.single_gate_ns, config.two_gate_ns,
+                        config.meas_pulse_ns)
+    return [tuple.__new__(IssueEvent, (
+                time_ns, sched, gate, qubits,
+                CHANNELS_PER_QUBIT * q + channel, duration, core))
+            for core, _block, sched, time_ns, ops, *_ in points
+            for _, _, gate, qubits, _, _ in ops
+            for duration, channel in [gates[gate]]
+            for q in qubits]
+
+
 class QpuState:
-    """Device occupancy, issue log, and the seeded measurement model."""
+    """Device occupancy and the seeded measurement model; it keeps no log."""
 
-    __slots__ = ("config", "qubit_count", "seed", "collect_events",
-                 "busy_until", "events", "collisions", "event_count",
-                 "last_event_end_ns", "_streams", "_gates",
-                 "_scalar_bias", "_result_latency")
+    __slots__ = ("config", "qubit_count", "seed", "busy_until",
+                 "collisions", "event_count", "last_event_end_ns",
+                 "_streams", "_gates", "_scalar_bias", "_result_latency")
 
-    def __init__(self, config: QpuConfig, qubit_count: int, seed: int,
-                 collect_events: bool = True):
+    def __init__(self, config: QpuConfig, qubit_count: int, seed: int):
         self.config = config
         self.qubit_count = qubit_count
         self.seed = seed
-        self.collect_events = collect_events
         self.busy_until = [0] * qubit_count
-        self.events: list[IssueEvent] = []
         self.collisions: list[Collision] = []
         self.event_count = 0
         self.last_event_end_ns = 0
         self._streams: dict[int, SplitMix64] = {}
-        durations = {
-            "X": config.single_gate_ns, "Y": config.single_gate_ns,
-            "Z": config.single_gate_ns, "H": config.single_gate_ns,
-            "RX": config.single_gate_ns, "RY": config.single_gate_ns,
-            "RZ": config.single_gate_ns, "CNOT": config.two_gate_ns,
-            "CZ": config.two_gate_ns, "MEAS": config.meas_pulse_ns,
-        }
-        # gate -> (duration, channel of qubit 0); qubit q's channel is
-        # CHANNELS_PER_QUBIT * q more, as `channel_for` gives it
-        self._gates = {gate: (ns, channel_for(gate, 0))
-                       for gate, ns in durations.items()}
+        self._gates = _gate_table(config.single_gate_ns, config.two_gate_ns,
+                                  config.meas_pulse_ns)
         bias = config.outcome_bias
         self._scalar_bias = bias if not isinstance(bias, dict) else None
         self._result_latency = config.meas_pulse_ns + config.daq_ns
 
-    def accept_issue(self, time_ns: int, scheduled_ns: int, ops,
-                     core: int) -> None:
-        """Log the operations of one timing point, all issued at `time_ns`,
-        and mark each one's qubits busy for its gate duration.
+    def accept_issue(self, time_ns: int, ops) -> None:
+        """Mark the qubits of one timing point's operations, all issued at
+        `time_ns`, busy for each one's gate duration; keep no record of it.
 
         Each op is a decoded quantum item as `decode_for_execution` lowers
         it: the gate name at index 2 and the qubit tuple at index 3. Ops take
         effect in order, so a qubit used twice in one point collides with
         itself. Overlapping use of a busy qubit is recorded as a collision;
         the run continues so the full schedule stays inspectable. A qubit
-        the device does not have raises `ValueError`, leaving the point
-        partly recorded.
+        the device does not have raises `ValueError`. `event_count` counts
+        one operation per qubit.
         """
         gates = self._gates
         busy = self.busy_until
-        collect = self.collect_events
         last_end = self.last_event_end_ns
         count = 0
         for op in ops:
             gate = op[2]
             qubits = op[3]
-            duration, channel = gates[gate]
-            end = time_ns + duration
+            end = time_ns + gates[gate][0]
             for q in qubits:
                 if q >= self.qubit_count:
                     raise ValueError(f"unknown qubit q{q}")
@@ -169,24 +178,7 @@ class QpuState:
                 busy[q] = end
             if end > last_end:
                 last_end = end
-            if len(qubits) == 2:
-                count += 2
-                if collect:
-                    # one flux event per involved qubit, same timestamp
-                    q0, q1 = qubits
-                    self.events.append(tuple.__new__(IssueEvent, (
-                        time_ns, scheduled_ns, gate, qubits,
-                        CHANNELS_PER_QUBIT * q0 + channel, duration, core)))
-                    self.events.append(tuple.__new__(IssueEvent, (
-                        time_ns, scheduled_ns, gate, qubits,
-                        CHANNELS_PER_QUBIT * q1 + channel, duration, core)))
-            else:
-                count += 1
-                if collect:
-                    self.events.append(tuple.__new__(IssueEvent, (
-                        time_ns, scheduled_ns, gate, qubits,
-                        CHANNELS_PER_QUBIT * qubits[0] + channel, duration,
-                        core)))
+            count += len(qubits)
         self.event_count += count
         self.last_event_end_ns = last_end
 

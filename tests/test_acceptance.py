@@ -87,8 +87,7 @@ def _steane_sweep():
         for cores in CORES:
             for ideal in (False, True):
                 reps = IDEAL_SAMPLE if ideal else REPETITIONS
-                base = MachineConfig(cores=cores, collect_events=False,
-                                     collect_steps=False)
+                base = MachineConfig(cores=cores, collect_steps=False)
                 if ideal:
                     base = base.zero_cost_scheduling()
                 base.qpu.outcome_bias = bias
@@ -145,8 +144,7 @@ def test_criterion_4_two_block_parallelism():
         seed = 1 + rep * SEED_STRIDE
         t1 = t2 = None
         for cores in (1, 2):
-            cfg = MachineConfig(cores=cores, seed=seed, collect_events=False,
-                                collect_steps=False)
+            cfg = MachineConfig(cores=cores, seed=seed, collect_steps=False)
             cfg.qpu.outcome_bias = 0.1
             t = Engine(program, cfg).run().total_exec_ns
             if cores == 1:

@@ -90,11 +90,10 @@ def test_steane_reports_instruction_mix():
 
 def test_steane_bias_zero_deterministic_lower_bound():
     p = gen_steane_syndrome()
-    cfg = MachineConfig(cores=6, collect_events=False, collect_steps=False)
+    cfg = MachineConfig(cores=6, collect_steps=False)
     times = set()
     for seed in (1, 7, 123):
-        cfg2 = MachineConfig(cores=6, seed=seed, collect_events=False,
-                             collect_steps=False)
+        cfg2 = MachineConfig(cores=6, seed=seed, collect_steps=False)
         times.add(Engine(p, cfg2).run().total_exec_ns)
     assert len(times) == 1  # no retries, no randomness in the timeline
 
@@ -117,7 +116,7 @@ def test_run_experiment_deterministic_json():
 
 def test_repetitions_vary_outcomes():
     spec = ExperimentSpec(gen_parallel_rus(2), repetitions=40, bias=0.4)
-    rep = run_experiment(spec, MachineConfig(collect_events=False))
+    rep = run_experiment(spec, MachineConfig())
     assert rep.extras["exec_ns_p90"] > rep.extras["exec_ns_p10"]
 
 
@@ -132,7 +131,7 @@ def test_compare_runs_fills_speedup():
 
 def test_ideal_speedup_bounds_actual():
     spec = ExperimentSpec(gen_parallel_rus(2), repetitions=20, bias=0.1)
-    cfg = MachineConfig(collect_events=False, collect_steps=False)
+    cfg = MachineConfig(collect_steps=False)
     from dataclasses import replace
     base = run_experiment(spec, replace(cfg, cores=1))
     two = run_experiment(spec, replace(cfg, cores=2))
@@ -165,7 +164,7 @@ def test_unknown_benchmark_parameter_is_refused():
 def test_rus_terminates_at_half_bias():
     p = gen_parallel_rus(1, failure_bias=0.5)
     for seed in range(1, 30):
-        cfg = MachineConfig(seed=seed, collect_events=False)
+        cfg = MachineConfig(seed=seed)
         cfg.qpu.outcome_bias = 0.5
         Engine(p, cfg).run()  # the deadlock watchdog would fault on a hang
 

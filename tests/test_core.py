@@ -17,7 +17,8 @@ from qcpsim.config import MachineConfig
 from qcpsim.core import K_CLASSICAL, K_QUANTUM, Core
 from qcpsim.engine import Engine, RuntimeFault
 from qcpsim.isa import parse_program, validate_program
-from qcpsim.metrics import build_report, steps_of
+from qcpsim.metrics import build_report
+from qcpsim.qpu import QpuState
 from qcpsim.sched import SimulatorBug
 from test_golden import RECORD_CASES, _programs
 
@@ -840,22 +841,39 @@ def test_quantum_fast_path_matches_general_rule(monkeypatch):
 def test_one_dispatch_group_call_per_timing_point(monkeypatch):
     # a timing point's leading group and the label-0 groups that join it in
     # later cycles go to `_dispatch_group` together, at every width, and so
-    # does a point narrower than the issue width
+    # does a point narrower than the issue width; only a fast-path call the
+    # horizon ends inside a point leaves the rest to a later call
     calls = []
+    cuts = []
     dispatch_group = Core._dispatch_group
+    dispatch_quantum = Core._dispatch_quantum
 
     def counted(core, *args):
         calls.append(args)
         return dispatch_group(core, *args)
 
+    def cut_counted(core, cycle):
+        last = core._horizon(cycle)
+        extra = dispatch_quantum(core, cycle)
+        if cycle + extra == last and _run_goes_on(core):
+            cuts.append(cycle)
+        return extra
+
     monkeypatch.setattr(Core, "_dispatch_group", counted)
-    cases = [(gen_dense(8, 300), width, 300) for width in (1, 2, 4, 8)]
-    cases += [(gen_dense(qubits, 100), width, 100)
+    monkeypatch.setattr(Core, "_dispatch_quantum", cut_counted)
+    cases = [(gen_dense(8, 300), width, 1, 300) for width in (1, 2, 4, 8)]
+    cases += [(gen_dense(qubits, 100), width, 1, 100)
               for qubits in (3, 5) for width in (4, 8)]
-    for program, width, points in cases:
+    # block B's 7 points bound the horizon of core 0 inside A's 4 points
+    cases += [(CUT_RUNS, 1, 2, 4 + 7)]
+    for program, width, cores, points in cases:
         calls.clear()
-        Engine(program, MachineConfig(superscalar_width=width)).run()
-        assert len(calls) == points, (len(program.instructions), width)
+        cuts.clear()
+        Engine(program, MachineConfig(cores=cores,
+                                      superscalar_width=width)).run()
+        assert len(calls) == points + len(cuts), (
+            len(program.instructions), width, cores)
+    assert cuts
 
 
 def test_fast_path_leaves_the_buffer_as_the_rule_does(monkeypatch):
@@ -885,38 +903,29 @@ def test_fast_path_leaves_the_buffer_as_the_rule_does(monkeypatch):
     assert skipped > 0
 
 
-def _check_one_issue_time_per_point(trace):
-    """`steps_of` groups the issue log by (core, scheduled time); each group
-    issues at one time, its step record's `actual_ns`, and holds that
-    record's `qices` operations, a two-qubit one logging two events.
+def _check_one_issue_time_per_point(program, cfg, monkeypatch):
+    """Each issued timing point reaches the device in one `accept_issue`
+    call, at its record's `actual_ns` and with its record's `qices`
+    operations, and the calls come in the order of the point records."""
+    calls = []
+    accept = QpuState.accept_issue
 
-    Two timing points of a core can share a scheduled time: a label-0 group
-    after a classical instruction opens a point with no gap, and an
-    injected MRCE op is scheduled at its anchor point's time. `steps_of`
-    puts such points in one group, so there each issue time is matched to
-    the records that issue at it."""
-    records = {}
-    for step in trace.steps:
-        records.setdefault((step.core, step.scheduled_ns), []).append(step)
-    for group in steps_of(trace.events):
-        points = records.pop((group[0].core, group[0].scheduled_ns))
-        # each operation counted twice
-        issued = Counter()
-        for event in group:
-            issued[event.time_ns] += 2 if len(event.qubits) == 1 else 1
-        wanted = Counter()
-        for step in points:
-            wanted[step.actual_ns] += 2 * step.qices
-        assert issued == wanted, group
-    assert records == {}
+    def recorded(qpu, time_ns, ops):
+        calls.append((time_ns, len(ops)))
+        return accept(qpu, time_ns, ops)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(QpuState, "accept_issue", recorded)
+        trace = Engine(program, cfg).run()
+    assert calls == [(s.actual_ns, s.qices) for s in trace.steps if s.qices]
 
 
-def test_each_timing_point_issues_at_one_time():
+def test_each_timing_point_issues_at_one_time(monkeypatch):
     programs = _programs()
     for name, cfg in RECORD_CASES.values():
-        _check_one_issue_time_per_point(Engine(programs[name], cfg).run())
+        _check_one_issue_time_per_point(programs[name], cfg, monkeypatch)
     for program, cfg in _join_configs() + _probe_configs():
-        _check_one_issue_time_per_point(Engine(program, cfg).run())
+        _check_one_issue_time_per_point(program, cfg, monkeypatch)
 
 
 def test_steane_width4_cycles_pinned():

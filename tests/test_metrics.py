@@ -6,7 +6,10 @@ from dataclasses import replace
 
 import pytest
 
-from qcpsim.bench import BENCHMARKS, gen_dense, gen_feedforward, make_benchmark
+import qcpsim.engine
+from qcpsim.bench import (BENCHMARKS, ExperimentSpec, gen_dense,
+                          gen_feedforward, gen_parallel_rus, make_benchmark,
+                          run_experiment)
 from qcpsim.config import MachineConfig, QpuConfig
 from qcpsim.engine import Engine
 from qcpsim.isa import parse_program
@@ -261,3 +264,29 @@ def test_serializers_match_reference_meas():
         "X,q0,0,20", "X,q1,3,20"]
     _assert_serializers_match(build_report(trace, program_hash(p)),
                               trace.events)
+
+
+def test_trace_views_are_built_only_when_read(monkeypatch):
+    # the run keeps one record per issued timing point; its issue events
+    # are expanded on the first read of `events` only, and a report reads
+    # the point log itself
+    expansions = []
+    expand = qcpsim.engine.issue_events
+
+    def counted(points, config):
+        expansions.append(len(points))
+        return expand(points, config)
+
+    monkeypatch.setattr(qcpsim.engine, "issue_events", counted)
+    program = gen_parallel_rus(2)
+    trace = Engine(program, MachineConfig(cores=2)).run()
+    build_report(trace, program_hash(program))
+    assert expansions == []
+    assert "steps" not in vars(trace)   # no `StepRecord` built either
+    events = trace.events
+    assert trace.events is events
+    assert expansions == [len(trace.points)] and len(events) > 0
+    expansions.clear()
+    run_experiment(ExperimentSpec(program, repetitions=4, bias=0.3),
+                   MachineConfig(cores=2))
+    assert expansions == []

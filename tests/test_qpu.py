@@ -7,13 +7,19 @@ import pytest
 
 from qcpsim.core import K_QUANTUM
 from qcpsim.qpu import (CHANNELS_PER_QUBIT, Collision, IssueEvent, QpuConfig,
-                        QpuState, SplitMix64, channel_for)
+                        QpuState, SplitMix64, channel_for, issue_events)
 
 
 def _op(gate: str, qubits: tuple[int, ...]) -> tuple:
     """One operation as `decode_for_execution` lowers it, with no result
     register."""
     return (K_QUANTUM, 0, gate, qubits, -1, 0)
+
+
+def _point(time_ns: int, scheduled_ns: int, ops: list, core: int) -> tuple:
+    """One issued timing point as `RunTrace.points` logs it."""
+    return (core, 0, scheduled_ns, time_ns, ops, 1, 0, 0, 0,
+            time_ns - scheduled_ns, False)
 
 
 def test_splitmix64_reference_vector():
@@ -97,23 +103,23 @@ def test_jitter_extends_readiness():
 
 def test_back_to_back_gates_legal():
     q = QpuState(QpuConfig(), 1, 1)
-    q.accept_issue(0, 0, [_op("H", (0,))], 0)
-    q.accept_issue(20, 20, [_op("X", (0,))], 0)
+    q.accept_issue(0, [_op("H", (0,))])
+    q.accept_issue(20, [_op("X", (0,))])
     assert q.collisions == []
 
 
 def test_overlap_is_collision():
     q = QpuState(QpuConfig(), 2, 1)
-    q.accept_issue(0, 0, [_op("H", (0,))], 0)
-    q.accept_issue(10, 10, [_op("CZ", (0, 1))], 0)
+    q.accept_issue(0, [_op("H", (0,))])
+    q.accept_issue(10, [_op("CZ", (0, 1))])
     assert len(q.collisions) == 1
     assert q.collisions[0].qubit == 0
 
 
 def test_simultaneous_different_qubits_legal():
     q = QpuState(QpuConfig(), 2, 1)
-    q.accept_issue(0, 0, [_op("H", (0,))], 0)
-    q.accept_issue(0, 0, [_op("H", (1,))], 0)
+    q.accept_issue(0, [_op("H", (0,))])
+    q.accept_issue(0, [_op("H", (1,))])
     assert q.collisions == []
 
 
@@ -138,14 +144,14 @@ def test_collision_against_interval_oracle():
                 expected += 1
             busy[qubit] = t_i + dur
         for t_i, gate, qubit in schedule:
-            q.accept_issue(t_i, t_i, [_op(gate, (qubit,))], 0)
+            q.accept_issue(t_i, [_op(gate, (qubit,))])
         assert len(q.collisions) == expected
 
 
 def test_unknown_qubit_rejected():
     q = QpuState(QpuConfig(), 2, 1)
     with pytest.raises(ValueError):
-        q.accept_issue(0, 0, [_op("H", (5,))], 0)
+        q.accept_issue(0, [_op("H", (5,))])
 
 
 def test_channel_map():
@@ -163,14 +169,17 @@ def test_channel_map():
 
 def test_pair_gate_emits_event_per_qubit():
     q = QpuState(QpuConfig(), 2, 1)
-    q.accept_issue(0, 0, [_op("CZ", (0, 1))], 0)
-    assert [e.channel for e in q.events] == [1, 4]
-    assert all(e.time_ns == 0 for e in q.events)
+    q.accept_issue(0, [_op("CZ", (0, 1))])
+    assert q.event_count == 2
+    events = issue_events([_point(0, 0, [_op("CZ", (0, 1))], 0)], q.config)
+    assert [e.channel for e in events] == [1, 4]
+    assert all(e.time_ns == 0 for e in events)
 
 
 class _PerOpDevice:
-    """Oracle for `QpuState.accept_issue`: the device model taking one
-    operation at a time, with every channel from `channel_for`."""
+    """Oracle for `QpuState.accept_issue` and `issue_events`: the device
+    model taking one operation at a time and logging its events, with every
+    channel from `channel_for`."""
 
     def __init__(self, config: QpuConfig, qubit_count: int):
         self.durations = {g: config.single_gate_ns
@@ -199,15 +208,20 @@ class _PerOpDevice:
                                           core))
 
 
-@pytest.mark.parametrize("collect", [True, False])
-def test_point_accept_matches_per_op_oracle(collect):
+@pytest.mark.parametrize("per_point", [True, False])
+def test_point_accept_matches_per_op_oracle(per_point):
+    # the events of the points a device accepted, expanded one point at a
+    # time or all at once at the end: the expansion reads nothing but the
+    # log, so a view built on first read is the one built as the run goes
     rng = random.Random(9)
     cfg = QpuConfig()
     single = ["X", "Y", "Z", "H", "RX", "RY", "RZ", "MEAS"]
     kinds = Counter()
     for _ in range(40):
-        device = QpuState(cfg, 3, 1, collect_events=collect)
+        device = QpuState(cfg, 3, 1)
         oracle = _PerOpDevice(cfg, 3)
+        log = []
+        events = []
         t = 0
         for _ in range(30):
             t += rng.choice([0, 10, 20, 40, 300])
@@ -226,11 +240,16 @@ def test_point_accept_matches_per_op_oracle(collect):
             kinds["pair"] += any(len(op[3]) == 2 for op in point)
             kinds["meas"] += any(op[2] == "MEAS" for op in point)
             kinds["twice"] += len(used) != len(set(used))
-            device.accept_issue(t, sched, point, core)
+            device.accept_issue(t, point)
+            log.append(_point(t, sched, point, core))
+            if per_point:
+                events += issue_events(log[-1:], cfg)
             for op in point:
                 oracle.accept_op(t, sched, op[2], op[3], core)
-        assert device.events == (oracle.events if collect else [])
-        assert all(type(e) is IssueEvent for e in device.events)
+        if not per_point:
+            events = issue_events(log, cfg)
+        assert events == oracle.events
+        assert all(type(e) is IssueEvent for e in events)
         assert device.collisions == oracle.collisions
         assert device.busy_until == oracle.busy_until
         assert device.event_count == oracle.event_count

@@ -206,7 +206,7 @@ def test_uniprocessor_degeneracy_matches_serial_oracle():
 def test_steane_priority_order_oracle():
     p = gen_steane_syndrome()
     table = build_table(p)
-    cfg = MachineConfig(cores=4, collect_events=False)
+    cfg = MachineConfig(cores=4)
     cfg.qpu.outcome_bias = 0.1
     trace = Engine(p, cfg).run()
     done = [e for e in trace.scheduler_events if e.action == "done"]
