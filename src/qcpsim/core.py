@@ -29,8 +29,12 @@ ticks could start a block; ticks that can only start or land prefetches
 run beside the call. Its loop dispatches one whole timing point per step,
 with the number of cycles the rule spends on it. Refills top the buffer up
 one issue width at a time, so each of those cycles takes the point's next
-issue width of instructions, and the count is arithmetic. Tests replace
-either fast path by the rule and compare every output.
+issue width of instructions, and the count is arithmetic. The fast path
+also runs beside an open conditional context, up to the cycle before it
+resolves, and `_drain` issues in one call the queued points of an ended
+stream that fall due up to the horizon, which never passes the engine's
+next deadlock-watchdog check. Tests replace either fast path by the rule
+and compare every output.
 
 Each result register is a `[value, ready_ns, producers]` list: a
 measurement's result is readable from `ready_ns` on, and `producers` counts
@@ -346,18 +350,23 @@ class Core:
         if self.next_pop_ns <= now_ns:
             self._pop_ready(now_ns)
 
-        if self.stream_ended and not self.pending and self.executing is not None \
-                and self._block_complete(eff):
+        if self.stream_ended and not self.pending:
+            if self._block_complete(eff):
+                if eff > cycle:
+                    # the engine logs the block's end at the call's cycle
+                    raise SimulatorBug(
+                        f"block {self.executing} on core {self.core_id} would "
+                        f"finish at cycle {eff} in a call at cycle {cycle}")
+                self._finish_block(eff)
+                return None
             if eff > cycle:
-                # the engine logs the block's end at the call's cycle
-                raise SimulatorBug(
-                    f"block {self.executing} on core {self.core_id} would "
-                    f"finish at cycle {eff} in a call at cycle {cycle}")
-            self._finish_block(eff)
-            return None
+                return eff + 1
+            if self.pop_idx + 1 < len(self.entries):
+                self._drain(cycle)
+            return self._queue_wake(cycle)
         if eff > cycle:
             return eff + 1
-        if self.stall_reason is None and (not self.stream_ended or self.pending):
+        if self.stall_reason is None:
             return None
         return self._queue_wake(cycle)
 
@@ -468,42 +477,61 @@ class Core:
                     break
             else:
                 return self._dispatch_quantum(cycle)
+        elif all(item[0] == K_QUANTUM and self.scoreboard.isdisjoint(item[3])
+                 for item in pending):
+            return self._dispatch_quantum(cycle)
         return self._dispatch_picked(*self._pick_classical(pending, now_ns),
                                      cycle, now_ns)
 
     def _dispatch_quantum(self, cycle: int) -> int:
-        """`_dispatch_picked` for a buffer of quantum work only and an empty
-        scoreboard: the cycle dispatches the leading group.
+        """`_dispatch_picked` for a buffer of quantum work only, none of it
+        on the qubit of an open conditional context: the cycle dispatches
+        the leading group.
 
         This is the fast path of the one dispatch rule. It goes on to run
         the cycles after `cycle` in the same call while the general rule
-        would dispatch one group in each of them (the buffer holds only
-        quantum work, and with the scoreboard empty no conditional context
-        is open to resolve), up to `_horizon`. Each step of its loop hands
-        one timing point to `_dispatch_group`: the buffer's leading item and
-        the label-0 items that join it, with the cycles the rule spends on
-        them, one cycle for a point no wider than the issue width.
+        would dispatch one group in each of them, up to `_horizon` and to
+        the cycle before `_maybe_resolve_context` takes an open context.
+        Each step of its loop hands one timing point to `_dispatch_group`:
+        the buffer's leading item and the label-0 items that join it, with
+        the cycles the rule spends on them, one cycle for a point no wider
+        than the issue width.
 
         The count of cycles is arithmetic. The buffer holds at least `width`
         items or the rest of the stream whenever a cycle starts, as a
         refill adds one chunk of `width` stream items whenever it holds
         fewer, so each cycle takes the point's next `width` items (the last
         cycle, fewer) from the buffer followed by `items[pc:]`. The point
-        ends at the next non-zero label or at the end of the stream. The
-        call ends earlier at the horizon, whose cycle does not refill, and
-        after a cycle whose refill would fetch a chunk holding a classical,
-        MRCE or END item. Timing points that fall due in those cycles issue
-        when the call returns. Returns how many cycles it ran past `cycle`.
+        ends at the next non-zero label, the end of the stream or an item
+        on a context's qubit. The call ends earlier at the horizon, whose
+        cycle does not refill, and after a cycle whose refill would fetch
+        a chunk holding a classical, MRCE or END item, or one on a
+        context's qubit. Timing points due in those cycles issue when the
+        call returns. Returns how many cycles it ran past `cycle`.
         """
         pending = self.pending
         width = self.width
         items = self.engine.items
         end = self.pc_end + 1
         x = cycle
-        # the cycles after `x` it may run: up to the horizon, and no more
-        # than the items left, so a lone core's `NEVER` stays a small int
-        left = min(self._horizon(cycle) - cycle,
-                   len(pending) + max(end - self.pc, 0))
+        # the cycles after `x` it may run
+        left = self._horizon(cycle) - cycle
+        wall = end      # the first stream item the call must not fetch
+        scoreboard = self.scoreboard
+        if scoreboard:
+            # an open context: end before `_maybe_resolve_context` takes it,
+            # or at `cycle` while its measurement may still issue in the run,
+            # and fetch no classical item or item on its qubit
+            rf = self.engine.result_file
+            for ctx in self.mrce_contexts:
+                ready = rf[ctx.result_reg][1]
+                left = min(left, 0 if ready == NEVER
+                           else -(-ready // self.clock) - 1 - cycle)
+            wall = self.pc
+            stop = min(end, wall + (left + 1) * width)
+            while (wall < stop and not items[wall][0]
+                   and scoreboard.isdisjoint(items[wall][3])):
+                wall += 1
         while True:
             held = len(pending)
             pc = past = self.pc
@@ -519,8 +547,8 @@ class Core:
                 # buffer, which holds `width` items or the rest of the stream
                 if left and not self.stream_ended:
                     stop = pc + (left + 1) * width - held
-                    if stop > end:
-                        stop = end
+                    if stop > wall:
+                        stop = wall
                     while past < stop:
                         item = items[past]
                         if item[0] or item[1]:      # not quantum, or a label
@@ -544,16 +572,19 @@ class Core:
                     top = end
                 for item in items[past:top]:
                     if item[0]:     # a classical, MRCE or END item
-                        # the cycle whose refill would fetch its chunk is
-                        # the call's last, and `_dispatch` takes the next;
-                        # each decoded item ends with its pc
-                        chunk = (item[-1] - pc) // width
-                        top = pc + chunk * width
-                        cycles = held // width + chunk
-                        if n > cycles * width:
-                            n = cycles * width
-                        left = cycles - 1
+                        halt = item[-1]     # each item ends with its pc
                         break
+                else:
+                    halt = wall
+                if halt < top:
+                    # the cycle whose refill would fetch its chunk is the
+                    # call's last, and `_dispatch` takes the next
+                    chunk = (halt - pc) // width
+                    top = pc + chunk * width
+                    cycles = held // width + chunk
+                    if n > cycles * width:
+                        n = cycles * width
+                    left = cycles - 1
                 pending += items[pc:top]
                 self.pc = top
                 if top >= end:
@@ -579,10 +610,13 @@ class Core:
         finishes, ticks start and land only prefetches, which no core
         reads; and a core finishes its block only in its own call, which
         the other cores' bound already holds this one to.
+
+        It is no later than the engine's `deadline`, so the engine visits
+        the cycle of its next deadlock-watchdog check on every path.
         """
         engine = self.engine
         active = engine.active_cores
-        last = NEVER
+        last = engine.deadline
         if len(active) < len(engine.cores):
             # the engine ticks the next cycle while the scheduler is dirty,
             # else when its transfer lands
@@ -591,7 +625,7 @@ class Core:
                     and sched.can_start_block()):
                 if sched.dirty:
                     return cycle
-                last = sched.transfer[4] - 1
+                last = min(last, sched.transfer[4] - 1)
         me = self.core_id
         for core in active:
             if core is not self:
@@ -949,6 +983,34 @@ class Core:
                 continue
             self.next_pop_ns = min(main_actual, inj_actual)
             break
+
+    def _drain(self, cycle: int) -> None:
+        """Issue now the queued points of an ended stream that fall due up
+        to `_horizon`, which the rule issues in later calls of this core
+        with nothing else pending. The block's last point stays queued, so
+        the block ends in the call that issues it; the gap before that call
+        charges the cycles between as drain cycles."""
+        if (self.fmr_wait is not None or self.mrce_contexts or self.ctx_pause
+                or self.redirect_penalty or self.injected):
+            return
+        limit = self._horizon(cycle) * self.clock
+        actual = self.next_pop_ns
+        if actual > limit:
+            return
+        entries = self.entries
+        idx = self.pop_idx
+        final = len(entries) - 1
+        while idx < final:
+            entry = entries[idx]
+            local, actual = self._entry_times(entry)
+            if actual > limit:
+                break
+            self._issue_entry(entry, local, actual)
+            idx += 1
+        else:
+            actual = self._entry_times(entries[final])[1]
+        self.pop_idx = idx
+        self.next_pop_ns = actual
 
     def _issue_entry(self, entry: _Entry, local: int, actual: int) -> None:
         """Issue a timing point at `actual`; `local` is its time on the

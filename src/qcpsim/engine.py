@@ -139,6 +139,7 @@ class Engine:
         self.context_switches: list[int] = []
         self.result_wait_total = 0
         self.drain_total = 0
+        self.deadline = config.deadlock_timeout_cycles  # progress + timeout
 
         self.active_cores: list = []
         self.cores = [Core(i, self, config.superscalar_width)
@@ -178,7 +179,6 @@ class Engine:
         sched.preload(len(self.cores))
 
         cycle = 0
-        last_progress = 0
         seen_events = 0
         seen_done = 0
         qpu = self.qpu
@@ -225,7 +225,7 @@ class Engine:
             if qpu.event_count != seen_events or sched.done_count != seen_done:
                 seen_events = qpu.event_count
                 seen_done = sched.done_count
-                last_progress = cycle
+                self.deadline = cycle + timeout
                 if seen_done == n_blocks:
                     cycle += 1
                     continue
@@ -234,14 +234,19 @@ class Engine:
                 raise RuntimeFault(
                     f"deadlock: no runnable component at cycle {cycle} "
                     f"({sched.done_count}/{n_blocks} blocks done)")
-            if cycle - last_progress > timeout:
-                # a wait that ends at a known time is not a deadlock,
-                # however many of its cycles the engine visits
-                if not any(core.progress_due() for core in active):
-                    raise RuntimeFault(
-                        f"deadlock: no progress for {timeout} cycles "
-                        f"(stalled at cycle {cycle})")
-                last_progress = cycle
+            if cycle > self.deadline:
+                # the newest issue counts from the cycle the rule makes it
+                # in, later than the call of a core that ran ahead to it
+                deadline = -(-qpu.last_issue_ns // self.clock) + timeout
+                if cycle > deadline:
+                    # a wait that ends at a known time is not a deadlock,
+                    # however many of its cycles the engine visits
+                    if not any(core.progress_due() for core in active):
+                        raise RuntimeFault(
+                            f"deadlock: no progress for {timeout} cycles "
+                            f"(stalled at cycle {cycle})")
+                    deadline = cycle + timeout
+                self.deadline = deadline
             cycle = min_wake if min_wake > cycle else cycle + 1
 
         trace = RunTrace(self.config)

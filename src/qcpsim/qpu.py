@@ -132,7 +132,8 @@ class QpuState:
 
     __slots__ = ("config", "qubit_count", "seed", "busy_until",
                  "collisions", "event_count", "last_event_end_ns",
-                 "_streams", "_gates", "_scalar_bias", "_result_latency")
+                 "last_issue_ns", "_streams", "_gates", "_scalar_bias",
+                 "_result_latency")
 
     def __init__(self, config: QpuConfig, qubit_count: int, seed: int):
         self.config = config
@@ -142,6 +143,7 @@ class QpuState:
         self.collisions: list[Collision] = []
         self.event_count = 0
         self.last_event_end_ns = 0
+        self.last_issue_ns = 0          # the time of the newest issue
         self._streams: dict[int, SplitMix64] = {}
         self._gates = _gate_table(config.single_gate_ns, config.two_gate_ns,
                                   config.meas_pulse_ns)
@@ -181,6 +183,7 @@ class QpuState:
             count += len(qubits)
         self.event_count += count
         self.last_event_end_ns = last_end
+        self.last_issue_ns = time_ns
 
     def measurement_result(self, qubit: int, issue_time_ns: int,
                            program_point: int) -> tuple[int, int]:

@@ -7,7 +7,7 @@ import weakref
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcpsim.bench import (BENCHMARKS, gen_active_reset_plus_rb, gen_dense,
@@ -379,6 +379,10 @@ def _canonical(trace):
             sorted(trace.scheduler_events), sorted(trace.block_spans))
 
 
+def _lines(*lines):
+    return "\n".join(lines) + "\n"
+
+
 def _differential_configs():
     programs = [gen_steane_syndrome(), gen_parallel_rus(4),
                 gen_active_reset_plus_rb(30), gen_feedforward(),
@@ -389,6 +393,13 @@ def _differential_configs():
                for cores in (1, 2, 6) for seed in (1, 2, 3)]
     for _, cfg in configs:
         cfg.qpu.outcome_bias = 0.3
+    # quantum work runs beside the open reset context, then the queue drains
+    reset = gen_active_reset_plus_rb(20, mrce=True)
+    for width in (1, 4):
+        for seed in (1, 2, 3):
+            cfg = MachineConfig(superscalar_width=width, seed=seed)
+            cfg.qpu.outcome_bias = 0.5
+            configs.append((reset, cfg))
     return configs
 
 
@@ -480,6 +491,41 @@ def test_deadlock_verdict_does_not_depend_on_the_wake_schedule(monkeypatch):
             Engine(hang, cfg).run()
         assert str(fault.value) == (
             "deadlock: no progress for 50 cycles (stalled at cycle 51)")
+
+
+# one timing point of 400 operations: no issue for 400 cycles at width 1
+LONG_POINT = _lines(".qubits 4", "1 H q0",
+                    *[f"0 H q{i % 4}" for i in range(399)], "END")
+# the first point issues while the long second one dispatches
+ISSUE_THEN_LONG_POINT = _lines(".qubits 4", "1 H q0", "1 H q1",
+                               *[f"0 H q{i % 4}" for i in range(399)], "END")
+
+
+@pytest.mark.parametrize("source, width, verdict", [
+    (LONG_POINT, 1,
+     "deadlock: no progress for 300 cycles (stalled at cycle 301)"),
+    (ISSUE_THEN_LONG_POINT, 1,
+     "deadlock: no progress for 300 cycles (stalled at cycle 306)"),
+    (LONG_POINT, 4, 104)])
+def test_deadlock_verdict_does_not_depend_on_the_dispatch_path(
+        source, width, verdict, monkeypatch):
+    # the watchdog counts cycles with no issue and no block completion, so a
+    # timing point whose dispatch outlasts the timeout is a deadlock on every
+    # path: a run ahead stops at the watchdog's next check, and an issue
+    # made in it counts from the cycle the rule issues it in
+    p = parse_program(source)
+    cfg = MachineConfig(superscalar_width=width, deadlock_timeout_cycles=300)
+    for method, replacement in ((None, None),
+                                ("_dispatch_quantum", _general_rule),
+                                ("run_cycle", _every_cycle)):
+        with monkeypatch.context() as patch:
+            if method:
+                patch.setattr(Core, method, replacement)
+            try:
+                outcome = Engine(p, cfg).run().total_cycles
+            except RuntimeFault as fault:
+                outcome = str(fault)
+        assert outcome == verdict, method
 
 
 def _exact(trace):
@@ -827,12 +873,14 @@ def test_quantum_fast_path_matches_general_rule(monkeypatch):
             seen["run past a prefetch landing"] += 1
         if bound and cycle + extra == last and _quantum_next(core):
             seen["run stopped while a block can start"] += 1
+        if extra and core.mrce_contexts:
+            seen["run beside an open context"] += 1
         return extra
 
     monkeypatch.setattr(Core, "_dispatch_quantum", counted)
     expected = [_exact(Engine(p, cfg).run()) for p, cfg in configs]
     assert max(ahead) > 1
-    assert len(seen) == 4, seen
+    assert len(seen) == 5, seen
     monkeypatch.setattr(Core, "_dispatch_quantum", _general_rule)
     for (p, cfg), want in zip(configs, expected):
         assert _exact(Engine(p, cfg).run()) == want, cfg
@@ -874,6 +922,26 @@ def test_one_dispatch_group_call_per_timing_point(monkeypatch):
         assert len(calls) == points + len(cuts), (
             len(program.instructions), width, cores)
     assert cuts
+
+
+def test_run_ahead_call_counts_pinned(monkeypatch):
+    # a core issues its queued points in one call once its stream has
+    # ended, and runs quantum work ahead beside an open context
+    calls = []
+    run_cycle = Core.run_cycle
+
+    def counted(core, cycle):
+        calls.append(cycle)
+        return run_cycle(core, cycle)
+
+    monkeypatch.setattr(Core, "run_cycle", counted)
+    cfg = MachineConfig(superscalar_width=4, seed=1)
+    cfg.qpu.outcome_bias = 0.5
+    Engine(gen_active_reset_plus_rb(200, mrce=True), cfg).run()
+    assert len(calls) <= 15
+    calls.clear()
+    Engine(gen_dense(8, 300), MachineConfig(superscalar_width=8)).run()
+    assert len(calls) <= 6
 
 
 def test_fast_path_leaves_the_buffer_as_the_rule_does(monkeypatch):
@@ -1030,7 +1098,35 @@ def _block_programs(draw, instruction=_instruction(4), min_size=1,
     return "\n".join(lines + directives) + "\n"
 
 
+# the draws of the fuzz move with the package source, so inputs that test
+# the drain are pinned: in the first two a block's last two points issue in
+# one cycle, so a drain must not end the block late; in the third a drain
+# that passed the horizon would issue ahead of the other core's next call
+_PAIRED_LAST_POINTS = _lines(
+    ".qubits 4", "0 H q0", "END", "0 H q0", "0 H q0", "2 H q0", "2 H q0",
+    "LDI r1, 1", "0 H q0", "END", "1 H q0", "END",
+    ".block b0 start=0 end=1 deps=none", ".block b1 start=2 end=8 deps=none",
+    ".block b2 start=9 end=10 deps=none")
+_PAIRED_LAST_POINTS_MRCE = _lines(
+    ".qubits 4", "0 MEAS q3 -> r1", *["0 H q0"] * 8, "END", *["0 H q0"] * 3,
+    "MRCE r1, q0, NOP, NOP", "0 H q0", "3 H q0", "MRCE r1, q0, NOP, NOP",
+    "0 H q0", "END", "0 MEAS q3 -> r0", "0 H q0", "FMR r1, r0",
+    *["0 H q0"] * 6, "END",
+    ".block b0 start=0 end=9 deps=none", ".block b1 start=10 end=18 deps=none",
+    ".block b2 start=19 end=28 deps=none")
+_DRAIN_PAST_OTHER_CORE = _lines(
+    ".qubits 3", "LDI r2, 1", "5 H q2", "END", "3 H q0", "2 H q0", "LDI r3, 1",
+    "3 X q2", "3 CZ q2, q0", "8 CZ q1, q2", "END",
+    ".block b0 start=0 end=2 deps=none", ".block b1 start=3 end=9 deps=none")
+
+
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@example(source=_PAIRED_LAST_POINTS, width=1, cores=2, seed=1, bias=0.0,
+         depth=3, ctx=0, prefetch=False, t_switch=0)
+@example(source=_PAIRED_LAST_POINTS_MRCE, width=1, cores=2, seed=1,
+         bias=0.0, depth=3, ctx=0, prefetch=False, t_switch=0)
+@example(source=_DRAIN_PAST_OTHER_CORE, width=4, cores=2, seed=1, bias=0.0,
+         depth=1, ctx=3, prefetch=True, t_switch=2)
 @given(source=_block_programs(), width=st.sampled_from((1, 2, 4, 8)),
        cores=st.sampled_from((1, 2, 6)), seed=st.integers(1, 3),
        bias=st.sampled_from((0.0, 0.5, 1.0)),
