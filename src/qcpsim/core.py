@@ -22,19 +22,22 @@ with the quantum group beside it. `_dispatch_classical_alone` and
 `_dispatch_quantum` are fast paths of that rule for a buffer with nothing to
 choose: a classical head with no quantum follower, and quantum work alone.
 `_dispatch_quantum` may run several cycles in one call, but only cycles the
-rule would spend the same way, and only up to `_horizon`: until then no
-other core acts and no block starts, so nothing else can see that the
-cycles ran early. The scheduler bounds that horizon only while one of its
-ticks could start a block; ticks that can only start or land prefetches
-run beside the call. Its loop dispatches one whole timing point per step,
-with the number of cycles the rule spends on it. Refills top the buffer up
-one issue width at a time, so each of those cycles takes the point's next
-issue width of instructions, and the count is arithmetic. The fast path
-also runs beside an open conditional context, up to the cycle before it
-resolves, and `_drain` issues in one call the queued points of an ended
-stream that fall due up to the horizon, which never passes the engine's
-next deadlock-watchdog check. Tests replace either fast path by the rule
-and compare every output.
+rule would spend the same way, and only up to `_horizon`, before which
+nothing else can see that the cycles ran early. The other cores bound that
+horizon at their next calls, unless this core's block is independent: no
+block that may run beside it touches its qubits or registers. The scheduler
+bounds it only while one of its ticks could start a block; ticks that can
+only start or land prefetches run beside the call. Its loop dispatches one
+whole timing point per step, with the number of cycles the rule spends on
+it. Refills top the buffer up one issue width at a time, so each of those
+cycles takes the point's next issue width of instructions, and the count is
+arithmetic. The fast path also runs beside an open conditional context, up
+to the cycle before it resolves. `_drain` issues in one call the queued
+points of an ended stream, or of a core stalled on an FMR up to the cycle
+before the read can resolve, that fall due up to the horizon, which never
+passes the engine's next deadlock-watchdog check. Tests replace either fast
+path by the rule, or end every horizon at the call's cycle, and compare
+every output.
 
 Each result register is a `[value, ready_ns, producers]` list: a
 measurement's result is readable from `ready_ns` on, and `producers` counts
@@ -180,7 +183,7 @@ class Core:
         "fb_mode", "pot_c", "pot_s", "pot_f",
         "exec_start_cycle", "attributed", "result_wait_cycles",
         "drain_cycles", "stall_reason", "last_seen", "next_pop_ns",
-        "next_call", "shared", "inflight",
+        "next_call", "shared", "inflight", "independent", "late_results",
     )
 
     def __init__(self, core_id: int, engine, width: int):
@@ -192,6 +195,9 @@ class Core:
         self.depth_offset = (engine.config.pipeline_depth - 1) * clock
         self.branch_penalty = engine.config.branch_penalty
         self.ctx_cycles = engine.config.ctx_switch_cycles
+        # a result is readable no earlier than the cycle after its issue's
+        qpu = engine.config.qpu
+        self.late_results = qpu.meas_pulse_ns + qpu.daq_ns >= clock
 
         self.regs = [0] * SHARED_REG_BASE
         self.flag_eq = False
@@ -248,6 +254,8 @@ class Core:
         # only the wake rule of a shared result file reads them
         self.inflight = ([0] * len(engine.result_file) if self.shared
                          else None)
+        # whether the block it runs is independent of the other cores'
+        self.independent = True
 
     # ── block lifecycle ────────────────────────────────────────────
 
@@ -271,6 +279,8 @@ class Core:
         self.next_call = 0
         self.engine.activate(self)
         self.executing = block
+        flags = self.engine.independent
+        self.independent = flags is None or flags[block]
         self.pc = pc_start
         self.pc_end = pc_end
         self.stream_ended = pc_start > pc_end
@@ -368,6 +378,8 @@ class Core:
             return eff + 1
         if self.stall_reason is None:
             return None
+        if self.fmr_wait is not None and self.pop_idx < len(self.entries):
+            self._drain(cycle)
         return self._queue_wake(cycle)
 
     def _bump_waits(self) -> None:
@@ -600,16 +612,20 @@ class Core:
     def _horizon(self, cycle: int) -> int:
         """The last cycle this core may run ahead to in a call at `cycle`.
 
-        Up to it no other core acts and the scheduler starts no block, so
-        no other part of the machine can read or write the shared result
-        registers, the device or the run's records in between, and the
-        cycles give the same outputs as when each runs in its own turn.
+        Up to it nothing else can see that the cycles ran early, so they
+        give the same outputs as when each runs in its own turn. The other
+        active cores bound it at their next calls, so that none of them
+        reads or writes the shared result registers, the shared register
+        file or the device in between. A core whose block is independent
+        (`Engine.independent`) skips that bound: every block that runs
+        while it does, including one that starts later, touches none of
+        its qubits and registers. The engine restores the issue logs to
+        the per-cycle order once the run is over.
 
         The scheduler bounds it only while a tick could start a block on
         an idle core (`Scheduler.can_start_block`). Until some block
         finishes, ticks start and land only prefetches, which no core
-        reads; and a core finishes its block only in its own call, which
-        the other cores' bound already holds this one to.
+        reads; and a core finishes its block only in its own call.
 
         It is no later than the engine's `deadline`, so the engine visits
         the cycle of its next deadlock-watchdog check on every path.
@@ -626,13 +642,15 @@ class Core:
                 if sched.dirty:
                     return cycle
                 last = min(last, sched.transfer[4] - 1)
-        me = self.core_id
-        for core in active:
-            if core is not self:
-                # a lower-numbered core acts before this one in a cycle
-                n = core.next_call - 1 if core.core_id < me else core.next_call
-                if n < last:
-                    last = n
+        if not self.independent:
+            me = self.core_id
+            for core in active:
+                if core is not self:
+                    # a lower-numbered core acts before this one in a cycle
+                    n = (core.next_call - 1 if core.core_id < me
+                         else core.next_call)
+                    if n < last:
+                        last = n
         return last if last > cycle else cycle
 
     def _dispatch_picked(self, cl_idx: int, barrier: int, cycle: int,
@@ -985,21 +1003,44 @@ class Core:
             break
 
     def _drain(self, cycle: int) -> None:
-        """Issue now the queued points of an ended stream that fall due up
-        to `_horizon`, which the rule issues in later calls of this core
-        with nothing else pending. The block's last point stays queued, so
-        the block ends in the call that issues it; the gap before that call
-        charges the cycles between as drain cycles."""
-        if (self.fmr_wait is not None or self.mrce_contexts or self.ctx_pause
-                or self.redirect_penalty or self.injected):
+        """Issue now the queued points that the rule issues in later calls
+        of this core while it does nothing else: those of an ended stream,
+        and those due before a stalled FMR resolves. Each issues only if
+        the cycle it falls in is no later than `_horizon`, and, in an FMR
+        wait, earlier than the cycle its register becomes ready in, which a
+        drained measurement may set.
+
+        The last point of an ended stream stays queued, so the block ends
+        in the call that issues it; the gap before that call charges the
+        cycles between as drain cycles. An FMR wait charges its cycles when
+        it resolves."""
+        if (self.mrce_contexts or self.ctx_pause or self.redirect_penalty
+                or self.injected):
             return
-        limit = self._horizon(cycle) * self.clock
+        clock = self.clock
         actual = self.next_pop_ns
+        fmr = self.fmr_wait
+        if fmr is None:
+            stop = NEVER
+        elif not self.late_results:
+            # a drained measurement could resolve the FMR in its own cycle,
+            # where the rule reads the register before issuing it
+            return
+        else:
+            # the last time that falls in a cycle before the FMR resolves
+            reg = self.engine.result_file[fmr[0]]
+            stop = (-(-reg[1] // clock) - 1) * clock
+            if actual > stop:
+                return
+        reach = self._horizon(cycle) * clock
+        limit = reach if reach < stop else stop
         if actual > limit:
             return
         entries = self.entries
         idx = self.pop_idx
-        final = len(entries) - 1
+        final = len(entries)
+        if self.stream_ended and not self.pending:
+            final -= 1
         while idx < final:
             entry = entries[idx]
             local, actual = self._entry_times(entry)
@@ -1007,8 +1048,12 @@ class Core:
                 break
             self._issue_entry(entry, local, actual)
             idx += 1
+            if fmr is not None and entry.has_meas:
+                stop = (-(-reg[1] // clock) - 1) * clock
+                limit = reach if reach < stop else stop
         else:
-            actual = self._entry_times(entries[final])[1]
+            actual = (self._entry_times(entries[final])[1]
+                      if final < len(entries) else NEVER)
         self.pop_idx = idx
         self.next_pop_ns = actual
 
@@ -1022,7 +1067,7 @@ class Core:
         self.prev_actual = actual
         qpu = engine.qpu
         ops = entry.ops
-        qpu.accept_issue(actual, ops)
+        qpu.accept_issue(actual, ops, core_id)
         if entry.has_meas:
             # the device draws each outcome; the engine's result file holds
             # it once no younger dispatched measurement of the register is
@@ -1048,7 +1093,7 @@ class Core:
 
     def _issue_injected(self, rec: tuple, actual: int) -> None:
         _earliest, sched, point, budget = rec
-        self.engine.qpu.accept_issue(actual, point)
+        self.engine.qpu.accept_issue(actual, point, self.core_id)
         if actual > sched:
             self.engine.violations.append((self.core_id, sched, actual))
         if self.engine.collect_steps:

@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .blocks import build_table, to_direct_table, to_priority_table
+from .blocks import (PRIORITY, BlockInfoTable, build_table, to_direct_table,
+                     to_priority_table)
 from .config import MachineConfig
-from .core import (NEVER, SHARED_REG_BASE, Core, StepRecord,
-                   decode_for_execution)
-from .isa import (REGISTER_COUNT, Diagnostic, Program, program_hash,
-                  validate_program)
+from .core import (K_CLASSICAL, K_MRCE, K_QUANTUM, NEVER, SHARED_REG_BASE,
+                   Core, StepRecord, decode_for_execution)
+from .isa import (REGISTER_COUNT, ClassicalOp, Diagnostic, Program,
+                  program_hash, validate_program)
 from .qpu import Collision, IssueEvent, QpuState, issue_events
 from .sched import Scheduler, SchedulerEvent
 
@@ -40,9 +41,10 @@ class ValidationFault(ValueError):
 @dataclass
 class RunTrace:
     """Everything observable about one run. `points` logs each issued
-    timing point once, in issue order, as `StepRecord`'s fields with the
-    point's decoded ops for `qices`; `steps` and `events` are views of it,
-    built on first read."""
+    timing point once, as `StepRecord`'s fields with the point's decoded ops
+    for `qices`; `steps` and `events` are views of it, built on first read.
+    `points`, `violations` and `collisions` are in issue order: by the cycle
+    each issue falls in, then by core."""
 
     config: MachineConfig
     total_cycles: int = 0
@@ -73,10 +75,12 @@ class RunTrace:
 class PreparedProgram:
     """Validation, table construction, and lowering done once per program,
     shared by every run of that program. This is the one place on the run
-    path where a program is validated. Its `program_hash` is computed on
-    first use, once."""
+    path where a program is validated. Its `program_hash` and the
+    independent blocks of each dependency mode are computed on first use,
+    once."""
 
-    __slots__ = ("program", "table", "items", "qubit_count", "_hash")
+    __slots__ = ("program", "table", "items", "qubit_count", "_hash",
+                 "_independent")
 
     def __init__(self, program: Program, qubit_budget: int | None = None):
         diagnostics = validate_program(program, qubit_budget)
@@ -87,12 +91,102 @@ class PreparedProgram:
         self.items = decode_for_execution(program)
         self.qubit_count = program.qubit_count
         self._hash: str | None = None
+        self._independent: dict[str, tuple[bool, ...]] = {}
 
     @property
     def program_hash(self) -> str:
         if self._hash is None:
             self._hash = program_hash(self.program)
         return self._hash
+
+    def independent_blocks(self, mode: str,
+                           table: BlockInfoTable) -> tuple[bool, ...]:
+        """Which blocks are independent under dependency mode `mode`, whose
+        table is `table`: see `independent_blocks`."""
+        flags = self._independent.get(mode)
+        if flags is None:
+            flags = self._independent[mode] = independent_blocks(
+                self.items, table)
+        return flags
+
+
+_FMR = int(ClassicalOp.FMR)
+# footprint bits: result register r is bit r, shared register r24 + i is
+# bit 32 + i, and qubit q is bit 40 + q
+_SHARED_SHIFT = REGISTER_COUNT - SHARED_REG_BASE
+_QUBIT_SHIFT = 2 * REGISTER_COUNT - SHARED_REG_BASE
+
+
+def _footprint(items) -> int:
+    """The qubits, result registers and shared registers that the decoded
+    `items` touch, as one bit set."""
+    bits = 0
+    for item in items:
+        kind = item[0]
+        if kind == K_QUANTUM:
+            for q in item[3]:
+                bits |= 1 << (_QUBIT_SHIFT + q)
+            if item[4] >= 0:
+                bits |= 1 << item[4]
+        elif kind == K_CLASSICAL:
+            if item[1] == _FMR:
+                bits |= 1 << item[8]
+            for r in item[2:5]:     # rd, ra, rb
+                if r >= SHARED_REG_BASE:
+                    bits |= 1 << (_SHARED_SHIFT + r)
+        elif kind == K_MRCE:
+            bits |= 1 << item[1] | 1 << (_QUBIT_SHIFT + item[2])
+    return bits
+
+
+def independent_blocks(items, table: BlockInfoTable) -> tuple[bool, ...]:
+    """For each block of `table`, whether it is independent: its footprint
+    is disjoint from that of every block that may run concurrently with it.
+
+    A block's footprint is the qubits it touches, MRCE targets included,
+    the result registers it measures into or reads with FMR or MRCE, and
+    the shared registers r24-r31 it reads or writes. Two blocks may run
+    concurrently when they are on one level of a priority table, or when
+    neither is a transitive dependence of the other in a direct table.
+    No other core can see when an independent block's cycles run.
+    """
+    entries = table.entries
+    prints = [_footprint(items[e.pc_start:e.pc_end + 1]) for e in entries]
+    n = len(entries)
+    clash = [False] * n
+    if table.representation == PRIORITY:
+        levels: dict[int, list[int]] = {}
+        for i, e in enumerate(entries):
+            levels.setdefault(e.priority, []).append(i)
+        for level in levels.values():
+            once = twice = 0    # bits of one block, and of two or more
+            for i in level:
+                twice |= once & prints[i]
+                once |= prints[i]
+            for i in level:
+                clash[i] = bool(prints[i] & twice)
+    else:
+        # every block's transitive dependences, to a fixed point
+        deps = [e.dep_mask for e in entries]
+        changed = True
+        while changed:
+            changed = False
+            for i, mask in enumerate(deps):
+                closed = mask
+                rest = mask
+                while rest:
+                    low = rest & -rest
+                    closed |= deps[low.bit_length() - 1]
+                    rest ^= low
+                if closed != mask:
+                    deps[i] = closed
+                    changed = True
+        for i in range(n):
+            for j in range(i + 1, n):
+                if (prints[i] & prints[j] and not deps[i] >> j & 1
+                        and not deps[j] >> i & 1):
+                    clash[i] = clash[j] = True
+    return tuple(not c for c in clash)
 
 
 def prepare(program: Program | PreparedProgram,
@@ -122,6 +216,11 @@ class Engine:
         elif config.dependency_mode == "direct":
             table = to_direct_table(table)
         self.table = table
+        # blocks whose cores may run ahead of the other cores; None when
+        # every block may, with one core or one block
+        self.independent = (
+            program.independent_blocks(config.dependency_mode, table)
+            if config.cores > 1 and len(table) > 1 else None)
 
         qubit_count = config.qpu.qubit_count or program.qubit_count
         if program.qubit_count > qubit_count:
@@ -249,6 +348,8 @@ class Engine:
                 self.deadline = deadline
             cycle = min_wake if min_wake > cycle else cycle + 1
 
+        if self.independent is not None:
+            self._restore_issue_order()
         trace = RunTrace(self.config)
         trace.total_cycles = cycle
         trace.total_exec_ns = max(cycle * self.clock, self.qpu.last_event_end_ns)
@@ -262,6 +363,23 @@ class Engine:
         trace.drain_cycles = self.drain_total
         trace.issue_count = self.qpu.event_count
         return trace
+
+    def _restore_issue_order(self) -> None:
+        """Sort the issue logs into the order of the per-cycle rule, which
+        issues each timing point in the cycle its time falls in, and the
+        cores of one cycle in id order. A core whose block is independent
+        logs its issues ahead of the other cores' earlier ones; each core's
+        own issues are already in order, and the sorts are stable."""
+        clock = self.clock
+        n = len(self.cores)
+        self.points.sort(key=lambda p: -(-p[3] // clock) * n + p[0])
+        self.violations.sort(key=lambda v: -(-v[2] // clock) * n + v[0])
+        qpu = self.qpu
+        if len(qpu.collisions) > 1:
+            keyed = sorted(zip(qpu.collision_cores, qpu.collisions),
+                           key=lambda kc: -(-kc[1].time_ns // clock) * n
+                           + kc[0])
+            qpu.collisions[:] = [c for _, c in keyed]
 
 
 def run_program(program: Program, config: MachineConfig) -> RunTrace:

@@ -131,9 +131,9 @@ class QpuState:
     """Device occupancy and the seeded measurement model; it keeps no log."""
 
     __slots__ = ("config", "qubit_count", "seed", "busy_until",
-                 "collisions", "event_count", "last_event_end_ns",
-                 "last_issue_ns", "_streams", "_gates", "_scalar_bias",
-                 "_result_latency")
+                 "collisions", "collision_cores", "event_count",
+                 "last_event_end_ns", "last_issue_ns", "_streams", "_gates",
+                 "_scalar_bias", "_result_latency")
 
     def __init__(self, config: QpuConfig, qubit_count: int, seed: int):
         self.config = config
@@ -141,9 +141,10 @@ class QpuState:
         self.seed = seed
         self.busy_until = [0] * qubit_count
         self.collisions: list[Collision] = []
+        self.collision_cores: list[int] = []    # the core issuing each one
         self.event_count = 0
         self.last_event_end_ns = 0
-        self.last_issue_ns = 0          # the time of the newest issue
+        self.last_issue_ns = 0          # the latest issue time
         self._streams: dict[int, SplitMix64] = {}
         self._gates = _gate_table(config.single_gate_ns, config.two_gate_ns,
                                   config.meas_pulse_ns)
@@ -151,9 +152,10 @@ class QpuState:
         self._scalar_bias = bias if not isinstance(bias, dict) else None
         self._result_latency = config.meas_pulse_ns + config.daq_ns
 
-    def accept_issue(self, time_ns: int, ops) -> None:
+    def accept_issue(self, time_ns: int, ops, core: int = 0) -> None:
         """Mark the qubits of one timing point's operations, all issued at
-        `time_ns`, busy for each one's gate duration; keep no record of it.
+        `time_ns` by `core`, busy for each one's gate duration; keep no
+        record of it.
 
         Each op is a decoded quantum item as `decode_for_execution` lowers
         it: the gate name at index 2 and the qubit tuple at index 3. Ops take
@@ -177,13 +179,15 @@ class QpuState:
                 if time_ns < busy[q]:
                     self.collisions.append(
                         Collision(q, time_ns, busy[q], gate))
+                    self.collision_cores.append(core)
                 busy[q] = end
             if end > last_end:
                 last_end = end
             count += len(qubits)
         self.event_count += count
         self.last_event_end_ns = last_end
-        self.last_issue_ns = time_ns
+        if time_ns > self.last_issue_ns:
+            self.last_issue_ns = time_ns
 
     def measurement_result(self, qubit: int, issue_time_ns: int,
                            program_point: int) -> tuple[int, int]:

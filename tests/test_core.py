@@ -14,11 +14,12 @@ from qcpsim.bench import (BENCHMARKS, gen_active_reset_plus_rb, gen_dense,
                           gen_feedforward, gen_parallel_rus,
                           gen_steane_syndrome, make_benchmark)
 from qcpsim.config import MachineConfig
-from qcpsim.core import K_CLASSICAL, K_QUANTUM, Core
+from qcpsim.blocks import PRIORITY
+from qcpsim.core import K_CLASSICAL, K_QUANTUM, SHARED_REG_BASE, Core
 from qcpsim.engine import Engine, RuntimeFault
-from qcpsim.isa import parse_program, validate_program
+from qcpsim.isa import ClassicalOp, Gate, Kind, parse_program, validate_program
 from qcpsim.metrics import build_report
-from qcpsim.qpu import QpuState
+from qcpsim.qpu import QpuConfig, QpuState
 from qcpsim.sched import SimulatorBug
 from test_golden import RECORD_CASES, _programs
 
@@ -403,11 +404,17 @@ def _differential_configs():
     return configs
 
 
+def _raw(trace):
+    # the issue logs as the run leaves them, in their order
+    return trace.points, trace.violations, trace.collisions
+
+
 def _outcome(program, cfg):
     try:
-        return _canonical(Engine(program, cfg).run())
+        trace = Engine(program, cfg).run()
     except RuntimeFault as fault:
         return str(fault)
+    return _canonical(trace), _raw(trace)
 
 
 _run_cycle = Core.run_cycle
@@ -598,6 +605,12 @@ def test_finished_engine_freed_by_reference_counting():
         gc.enable()
 
 
+def _no_run_ahead(core, cycle):
+    # `Core._horizon` ending every run-ahead at the call's own cycle: no
+    # fast path or drain runs a cycle past it
+    return cycle
+
+
 def _general_rule(core, cycle):
     # `Core._dispatch_quantum` replaced by the general per-cycle rule
     now_ns = cycle * core.clock
@@ -731,15 +744,17 @@ LONG_RUNS = parse_program("\n".join(
     + ["END"]) + "\n")
 
 # block B issues a timing point every 20 cycles, so the horizon of core 0
-# falls inside block A's runs
+# falls inside block A's runs; B's last point is on q0, one of A's qubits,
+# so neither block is independent and the other core bounds each horizon
 CUT_RUNS = _two_blocks(9, _runs((30, 40, 25, 33)) + ["END"],
-                       ["0 H q8"] + ["20 H q8"] * 6 + ["END"])
+                       ["0 H q8"] + ["20 H q8"] * 5 + ["20 H q0", "END"])
 
 # short runs, and block B issues a timing point every 3 cycles: a point
 # that starts with more than the issue width of its items in the buffer
-# meets the horizon in its first cycle, which takes only the issue width
+# meets the horizon in its first cycle, which takes only the issue width;
+# B's last point is on q0, so each core bounds the other's horizon
 SHORT_CUT_RUNS = _two_blocks(9, _runs((2, 6, 9)) + ["END"],
-                             ["0 H q8"] + ["3 H q8"] * 8 + ["END"])
+                             ["0 H q8"] + ["3 H q8"] * 7 + ["3 H q0", "END"])
 
 # a measurement inside a run, read by a later FMR
 MEAS_RUN = parse_program("\n".join([
@@ -781,6 +796,51 @@ def _join_configs():
                 for tail in (["LDI r1, 1", "0 H q0", "0 H q1", "END"], ["END"])
                 for width in (1, 2, 4, 8)]
     return configs
+
+
+# with no readout latency, the measurement an FMR waits for is readable
+# in the cycle it issues in, after the read that cycle has failed
+ZERO_LATENCY = (parse_program(_lines(
+    ".qubits 3", "1 H q1", "1 MEAS q0 -> r0", "0 H q2", "1 H q1",
+    "FMR r1, r0", "1 X q2", "END")), MachineConfig(
+        superscalar_width=4, qpu=QpuConfig(meas_pulse_ns=0, daq_ns=0)))
+
+
+# the FMR resolves long before the queued `60 H q1` falls due, and the
+# conditional X after it issues first, on the same qubit: a drain that
+# issued `60 H q1` while the FMR waits would show the device the two
+# out of time order. At pipeline depth 3 the measurement of r0 has issued
+# when the FMR stalls; at depth 4 it is still queued, so the drain issues
+# it and only then learns when r0 is ready
+FMR_BEFORE_CONDITIONAL = [(parse_program(_lines(
+    ".qubits 5", "0 MEAS q0 -> r0", "0 H q2", "0 H q3", "0 H q4",
+    "60 H q1", "FMR r2, r0", "MRCE r0, q1, X, X", "END")),
+    MachineConfig(pipeline_depth=depth)) for depth in (3, 4)]
+
+
+# two independent blocks whose every point collides with itself: the
+# device logs the collisions of both cores, interleaved in time
+SELF_COLLIDING_BLOCKS = (_two_blocks(2, ["1 H q0", "0 X q0"] * 5 + ["END"],
+                                     ["1 H q1", "0 X q1"] * 5 + ["END"]),
+                         MachineConfig(cores=2))
+
+
+def test_no_run_ahead_matches_run_ahead(monkeypatch):
+    # with `_horizon` at the call's own cycle no core runs a cycle early:
+    # the quantum fast path, the drains and the run-ahead of cores whose
+    # blocks are independent all stop, and every output must stay the
+    # same, down to the order of the issue logs
+    configs = (_differential_configs() + _probe_configs() + _join_configs()
+               + FMR_BEFORE_CONDITIONAL
+               + [ZERO_LATENCY, SELF_COLLIDING_BLOCKS])
+    ahead = []
+    for p, cfg in configs:
+        trace = Engine(p, cfg).run()
+        ahead.append((_exact(trace), _raw(trace)))
+    monkeypatch.setattr(Core, "_horizon", _no_run_ahead)
+    for (p, cfg), expected in zip(configs, ahead):
+        trace = Engine(p, cfg).run()
+        assert (_exact(trace), _raw(trace)) == expected, cfg
 
 
 def _prefetch_mid_run(c_deps):
@@ -926,7 +986,9 @@ def test_one_dispatch_group_call_per_timing_point(monkeypatch):
 
 def test_run_ahead_call_counts_pinned(monkeypatch):
     # a core issues its queued points in one call once its stream has
-    # ended, and runs quantum work ahead beside an open context
+    # ended or while it waits on an FMR, runs quantum work ahead beside an
+    # open context, and runs ahead of the other cores while its block is
+    # independent
     calls = []
     run_cycle = Core.run_cycle
 
@@ -942,6 +1004,18 @@ def test_run_ahead_call_counts_pinned(monkeypatch):
     calls.clear()
     Engine(gen_dense(8, 300), MachineConfig(superscalar_width=8)).run()
     assert len(calls) <= 6
+    steane = gen_steane_syndrome()
+    for cores, most in ((1, 450), (2, 450), (6, 465)):
+        calls.clear()
+        cfg = MachineConfig(cores=cores, seed=1)
+        cfg.qpu.outcome_bias = 0.1
+        Engine(steane, cfg).run()
+        assert len(calls) <= most, cores
+    calls.clear()
+    cfg = MachineConfig(cores=4, seed=1)
+    cfg.qpu.outcome_bias = 0.3
+    Engine(gen_parallel_rus(8), cfg).run()
+    assert len(calls) <= 130
 
 
 def test_fast_path_leaves_the_buffer_as_the_rule_does(monkeypatch):
@@ -974,18 +1048,28 @@ def test_fast_path_leaves_the_buffer_as_the_rule_does(monkeypatch):
 def _check_one_issue_time_per_point(program, cfg, monkeypatch):
     """Each issued timing point reaches the device in one `accept_issue`
     call, at its record's `actual_ns` and with its record's `qices`
-    operations, and the calls come in the order of the point records."""
-    calls = []
-    accept = QpuState.accept_issue
+    operations. A core whose block is independent makes its calls ahead of
+    the other cores', so they match the point records as a multiset; with
+    no run-ahead they come in the order of the records."""
+    for horizon in (None, _no_run_ahead):
+        calls = []
+        accept = QpuState.accept_issue
 
-    def recorded(qpu, time_ns, ops):
-        calls.append((time_ns, len(ops)))
-        return accept(qpu, time_ns, ops)
+        def recorded(qpu, time_ns, ops, core=0):
+            calls.append((time_ns, len(ops), core))
+            return accept(qpu, time_ns, ops, core)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(QpuState, "accept_issue", recorded)
-        trace = Engine(program, cfg).run()
-    assert calls == [(s.actual_ns, s.qices) for s in trace.steps if s.qices]
+        with monkeypatch.context() as patch:
+            patch.setattr(QpuState, "accept_issue", recorded)
+            if horizon:
+                patch.setattr(Core, "_horizon", horizon)
+            trace = Engine(program, cfg).run()
+        records = [(s.actual_ns, s.qices, s.core)
+                   for s in trace.steps if s.qices]
+        if horizon:
+            assert calls == records
+        else:
+            assert Counter(calls) == Counter(records)
 
 
 def test_each_timing_point_issues_at_one_time(monkeypatch):
@@ -1079,6 +1163,13 @@ def _block_programs(draw, instruction=_instruction(4), min_size=1,
     for reg in set(re.findall(r"(?:FMR r\d+,|MRCE) r(\d+)", text)) - written:
         bodies[draw(st.integers(0, len(bodies) - 1))].insert(
             0, f"0 MEAS q3 -> r{reg}")
+    return _assemble(draw, bodies, qubit_count)
+
+
+def _assemble(draw, bodies, qubit_count):
+    """The program text of blocks `bodies`, in order, with direct or
+    priority dependencies drawn for them; a branch `(mnemonic, distance)`
+    becomes a jump that stays inside its block."""
     lines, directives, start = [f".qubits {qubit_count}"], [], 0
     priority = draw(st.booleans())
     for b, body in enumerate(bodies):
@@ -1135,9 +1226,9 @@ _DRAIN_PAST_OTHER_CORE = _lines(
 def test_kernel_paths_agree_on_random_programs(source, width, cores, seed,
                                               bias, depth, ctx, prefetch,
                                               t_switch):
-    # both dispatch fast paths and the event-skipping engine are pure
-    # optimizations: turning any of them off gives the same outputs, or the
-    # same runtime fault
+    # both dispatch fast paths, the event-skipping engine and every run
+    # ahead are pure optimizations: turning any of them off gives the same
+    # outputs, with the issue logs in the same order, or the same fault
     p = parse_program(source)
     assert validate_program(p) == []
     cfg = MachineConfig(cores=cores, superscalar_width=width, seed=seed,
@@ -1148,7 +1239,8 @@ def test_kernel_paths_agree_on_random_programs(source, width, cores, seed,
     expected = _outcome(p, cfg)
     for method, replacement in (("_dispatch_quantum", _general_rule),
                                 ("_dispatch_classical_alone", _classical_rule),
-                                ("run_cycle", _every_cycle)):
+                                ("run_cycle", _every_cycle),
+                                ("_horizon", _no_run_ahead)):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(Core, method, replacement)
             assert _outcome(p, cfg) == expected, method
@@ -1173,3 +1265,204 @@ def test_kernel_paths_agree_on_run_heavy_programs(source, width, cores, seed,
                                                   t_switch):
     test_kernel_paths_agree_on_random_programs.hypothesis.inner_test(
         source, width, cores, seed, bias, depth, ctx, prefetch, t_switch)
+
+
+def _own(ins, b):
+    """Instruction `ins`, drawn on qubits q0-q1, result registers r0-r2 and
+    shared registers r24-r25, moved to block `b`'s own ones: qubits
+    q2b-q2b+1, result registers r3b-r3b+2 and shared r24+2b-r25+2b."""
+    if isinstance(ins, tuple):
+        return ins
+    ins = re.sub(r"q(\d)", lambda m: f"q{int(m[1]) + 2 * b}", ins)
+    ins = re.sub(r"(-> |FMR r\d, |MRCE )r(\d)",
+                 lambda m: f"{m[1]}r{int(m[2]) + 3 * b}", ins)
+    return re.sub(r"r2([45])", lambda m: f"r{int(m[1]) + 20 + 2 * b}", ins)
+
+
+@st.composite
+def _independent_block_programs(draw):
+    """Assembly text of two to four blocks that each touch their own
+    qubits, result registers and shared registers, so that each block is
+    independent; in some, one block also touches a qubit, a result
+    register or a shared register of another."""
+    bodies = []
+    for b in range(draw(st.integers(2, 4))):
+        body = [_own(ins, b) for ins in draw(st.lists(
+            _instruction(2), min_size=1, max_size=10))]
+        # every result register the block reads, it also writes
+        text = "\n".join(ins for ins in body if isinstance(ins, str))
+        written = set(re.findall(r"-> r(\d+)", text))
+        for reg in sorted(set(re.findall(r"(?:FMR r\d+,|MRCE) r(\d+)",
+                                         text)) - written):
+            body.insert(0, f"0 MEAS q{2 * b + 1} -> r{reg}")
+        bodies.append(body + ["END"])
+    shared = draw(st.sampled_from((None, "qubit", "result", "register")))
+    if shared:
+        i, j = draw(st.permutations(range(len(bodies))))[:2]
+        ins = {"qubit": f"1 X q{2 * j}",
+               "result": f"0 MEAS q{2 * i} -> r{3 * j}",
+               "register": f"LDI r{24 + 2 * j}, 1"}[shared]
+        bodies[i].insert(draw(st.integers(0, len(bodies[i]) - 1)), ins)
+    return _assemble(draw, bodies, 8)
+
+
+def _ran_past_other_cores(monkeypatch):
+    """Record in the list returned each call in which a core dispatches
+    or issues in a cycle after another active core's next call."""
+    passed = []
+    reached = []
+    run_cycle = Core.run_cycle
+    issue_entry = Core._issue_entry
+
+    def issuing(core, entry, local, actual):
+        reached.append(-(-actual // core.clock))
+        return issue_entry(core, entry, local, actual)
+
+    def tracked(core, cycle):
+        me = core.core_id
+        bounds = [other.next_call - 1 if other.core_id < me
+                  else other.next_call
+                  for other in core.engine.active_cores if other is not core]
+        reached.clear()
+        wake = run_cycle(core, cycle)
+        if bounds and max(reached + [core.last_seen]) > min(bounds):
+            passed.append((core.core_id, cycle))
+        return wake
+
+    monkeypatch.setattr(Core, "run_cycle", tracked)
+    monkeypatch.setattr(Core, "_issue_entry", issuing)
+    return passed
+
+
+def test_kernel_paths_agree_on_independent_blocks():
+    # blocks on disjoint qubits and registers let their cores run ahead of
+    # each other; every kernel path must still agree, and some examples
+    # must really run a core past another core's next call
+    ahead = []
+
+    @settings(max_examples=150, derandomize=True, database=None,
+              deadline=None)
+    @given(source=_independent_block_programs(),
+           width=st.sampled_from((1, 2, 4, 8)),
+           cores=st.sampled_from((2, 4, 6)), seed=st.integers(1, 3),
+           bias=st.sampled_from((0.0, 0.5, 1.0)),
+           depth=st.sampled_from((1, 2, 3)), ctx=st.sampled_from((0, 1, 3)),
+           prefetch=st.booleans(), t_switch=st.sampled_from((0, 2)))
+    def check(source, width, cores, seed, bias, depth, ctx, prefetch,
+              t_switch):
+        cfg = MachineConfig(cores=cores, superscalar_width=width, seed=seed,
+                            pipeline_depth=depth, ctx_switch_cycles=ctx,
+                            prefetch=prefetch, t_switch=t_switch,
+                            deadlock_timeout_cycles=300)
+        cfg.qpu.outcome_bias = bias
+        with pytest.MonkeyPatch.context() as patch:
+            passed = _ran_past_other_cores(patch)
+            try:
+                Engine(parse_program(source), cfg).run()
+            except RuntimeFault:
+                pass
+        if passed:
+            ahead.append(source)
+        test_kernel_paths_agree_on_random_programs.hypothesis.inner_test(
+            source, width, cores, seed, bias, depth, ctx, prefetch, t_switch)
+
+    check()
+    assert ahead
+
+
+def _brute_force_independent(program, table):
+    """`independent_blocks` by definition: the footprints as sets, read
+    from the instructions, and every pair of blocks compared."""
+    def footprint(entry):
+        touched = set()
+        for ins in program.instructions[entry.pc_start:entry.pc_end + 1]:
+            if ins.kind == Kind.QUANTUM:
+                touched |= {("q", q) for q in ins.qubits}
+                if ins.gate == Gate.MEAS:
+                    touched.add(("result", ins.result_reg))
+            elif ins.kind == Kind.MRCE:
+                touched |= {("q", ins.mrce_target),
+                            ("result", ins.result_reg)}
+            elif ins.kind == Kind.CLASSICAL:
+                if ins.classical_op == ClassicalOp.FMR:
+                    touched.add(("result", ins.result_reg))
+                touched |= {("shared", r) for r in (ins.rd, ins.ra, ins.rb)
+                            if r >= SHARED_REG_BASE}
+        return touched
+
+    def needs(a, b):
+        # block b is a transitive dependence of block a
+        deps = [d for d in range(len(table)) if table.entries[a].dep_mask >> d & 1]
+        return b in deps or any(needs(d, b) for d in deps)
+
+    def concurrent(a, b):
+        if table.representation == PRIORITY:
+            return table.entries[a].priority == table.entries[b].priority
+        return not needs(a, b) and not needs(b, a)
+
+    prints = [footprint(e) for e in table.entries]
+    return tuple(all(a == b or not concurrent(a, b) or not prints[a] & prints[b]
+                     for b in range(len(table)))
+                 for a in range(len(table)))
+
+
+# b2 depends on b0 only through b1, so the two never run side by side
+# although both touch q0
+_DEPENDENCE_CHAIN = _lines(
+    ".qubits 2", "1 H q0", "END", "1 H q1", "END", "1 X q0", "END",
+    ".block b0 start=0 end=1 deps=none", ".block b1 start=2 end=3 deps=b0",
+    ".block b2 start=4 end=5 deps=b1")
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@example(source=_DEPENDENCE_CHAIN, mode="auto")
+@given(source=st.one_of(_independent_block_programs(), _block_programs()),
+       mode=st.sampled_from(("auto", "direct", "priority")))
+def test_independent_blocks_match_pairwise_definition(source, mode):
+    program = parse_program(source)
+    engine = Engine(program, MachineConfig(cores=2, dependency_mode=mode))
+    flags = engine.independent or (True,) * len(engine.table)
+    assert flags == _brute_force_independent(program, engine.table)
+
+
+# in each program one block reads a register that its own measurement
+# fills only after the read, so the run deadlocks; the other block, on
+# its own qubits and registers, runs on
+RUN_AHEAD_DEADLOCKS = [
+    # block A issues a point each cycle, with a wait longer than the
+    # timeout between, and B deadlocks
+    (_two_blocks(4, ["1 H q0"] * 30 + ["60 X q1"] + ["1 H q0"] * 30
+                 + ["END"], ["FMR r1, r5", "0 MEAS q3 -> r5", "END"]),
+     "deadlock: no progress for 50 cycles (stalled at cycle 175)"),
+    # A issues its `40 H q0` while its read waits, well before B issues
+    # its last point, which is earlier in time: the watchdog counts from
+    # the latest issue time, not from the newest issue
+    (_two_blocks(4, ["1 H q0", "40 H q0", "FMR r1, r5", "0 MEAS q3 -> r5",
+                     "END"], ["1 H q1"] * 10 + ["END"]),
+     "deadlock: no progress for 50 cycles (stalled at cycle 96)"),
+]
+
+
+@pytest.mark.parametrize("program, verdict", RUN_AHEAD_DEADLOCKS)
+def test_deadlock_verdict_does_not_depend_on_running_ahead(
+        program, verdict, monkeypatch):
+    engine = Engine(program, MachineConfig(cores=2,
+                                           deadlock_timeout_cycles=50))
+    assert engine.independent == (True, True)
+    verdicts = []
+    for method, replacement in ((None, None),
+                                ("_dispatch_quantum", _general_rule),
+                                ("_dispatch_classical_alone", _classical_rule),
+                                ("run_cycle", _every_cycle),
+                                ("_horizon", _no_run_ahead)):
+        with monkeypatch.context() as patch:
+            if method:
+                patch.setattr(Core, method, replacement)
+            passed = _ran_past_other_cores(patch)
+            with pytest.raises(RuntimeFault) as fault:
+                Engine(program, MachineConfig(
+                    cores=2, deadlock_timeout_cycles=50)).run()
+        verdicts.append(str(fault.value))
+        if method is None:
+            assert passed
+    assert verdicts == [verdict] * 5
