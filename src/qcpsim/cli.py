@@ -51,11 +51,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_assemble(args) -> int:
-    try:
-        program = parse_program(Path(args.input).read_text())
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
+    program = parse_program(Path(args.input).read_text())
     diagnostics = validate_program(program)
     if diagnostics:
         return _print_diagnostics(diagnostics)

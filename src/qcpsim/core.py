@@ -1149,7 +1149,12 @@ class Core:
     def _queue_wake(self, cycle: int) -> int | None:
         """The next cycle anything this stalled or draining core waits on can
         change: a queued issue, or a result register it reads becoming
-        ready. None asks for the next cycle."""
+        ready. None asks for the next cycle.
+
+        On a one-core machine only this core's queued issues can fill a
+        result register, and no other block can start beside it, so when
+        neither an issue nor a register it waits on has a time, only the
+        deadlock watchdog's next check can change anything."""
         if self.ctx_pause or self.redirect_penalty:
             return None
         rf = self.engine.result_file
@@ -1177,7 +1182,10 @@ class Core:
                 elif ready == NEVER and self._polls(reg):
                     return None
         if best == NEVER:
-            return None
+            if self.shared:
+                return None
+            best = self.engine.deadline + 1
+            return best if best > cycle else cycle + 1
         best = -(-best // self.clock)
         return best if best > cycle else cycle + 1
 

@@ -18,6 +18,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields
 from enum import IntEnum
 from operator import attrgetter
+from typing import NamedTuple
 
 __all__ = [
     "Kind", "Gate", "ClassicalOp", "BranchCond", "Instruction", "BlockDirective",
@@ -61,8 +62,6 @@ class Gate(IntEnum):
     MEAS = 10
 
 
-ROTATION_GATES = frozenset({Gate.RX, Gate.RY, Gate.RZ})
-TWO_QUBIT_GATES = frozenset({Gate.CNOT, Gate.CZ})
 # operand set for conditional execution: plain single-qubit gates or NOP
 MRCE_OPS = frozenset({Gate.NOP, Gate.X, Gate.Y, Gate.Z, Gate.H})
 
@@ -89,40 +88,109 @@ class BranchCond(IntEnum):
     GE = 5
 
 
-# ── Binary layout ───────────────────────────────────────────────────
+# ── Instruction formats ─────────────────────────────────────────────
 #
-# Every instruction is one 32-bit word with the opcode in bits [31:26].
-#
-#   quantum single  op | label[25:16] | q[15:10]  | angle[9:0]
-#   quantum pair    op | label[25:16] | q0[15:10] | q1[9:4]
-#   measurement     op | label[25:16] | q[15:10]  | rr[9:5]
-#   LDI             op | rd[25:21] | imm[20:0]           (two's complement)
-#   MOV             op | rd[25:21] | rs[20:16]
-#   ADD/SUB/AND/OR  op | rd[25:21] | ra[20:16] | rb[15:11]
-#   CMP             op | ra[25:21] | rb[20:16]
-#   BR              op | cond[25:22] | target[21:0]
-#   JMP             op | target[21:0]
-#   FMR             op | rd[25:21] | rr[20:16]
-#   MRCE            op | rr[25:20] | q[19:14] | op0[13:7] | op1[6:0]
-#   END             op
-#
-# Only the conditional-execution layout is fixed by the hardware contract;
-# the rest is this simulator's own packing.
+# One table drives parsing, printing, encoding and decoding. Every
+# instruction is one 32-bit word with the opcode in bits [31:26]; a quantum
+# word holds its timing label in bits [25:16], and each operand sits at its
+# row's shift and width. Only the conditional-execution layout is fixed by
+# the hardware contract; the rest is this simulator's own packing.
 
-_OPC_Q_BASE = 1          # opcodes 1..10 mirror Gate values
-_OPC_C_BASE = 16         # opcodes 16..25 mirror ClassicalOp values
-_OPC_MRCE = 32
-_OPC_END = 63
+# how an operand is written
+_QUBIT, _REG, _ANGLE, _IMM, _TARGET, _GATE_NAME, _COND = range(7)
 
-_IMM_BITS = 21
-_IMM_MIN = -(1 << (_IMM_BITS - 1))
-_IMM_MAX = (1 << (_IMM_BITS - 1)) - 1
-_TARGET_MAX = (1 << 22) - 1
 
-# enum members the encoder reads per instruction, bound once: looking a
-# member up on its enum class costs several times a module global
+class _Operand(NamedTuple):
+    field: str      # the Instruction field it fills; qubits fill `qubits` in order
+    syntax: int     # how it is written
+    shift: int      # its lowest bit in the word
+    width: int
+    what: str       # its name in an EncodingError
+
+
+class _Format(NamedTuple):
+    name: str                       # mnemonic
+    kind: Kind
+    code: Gate | ClassicalOp | None
+    opcode: int
+    arity: str                      # the error when the operand count is wrong
+    operands: tuple[_Operand, ...]  # in assembly order
+    written: int                    # operands after the mnemonic; BR's cond is in it
+    sep: str                        # written between operands
+
+
+def _row(name: str, kind: Kind, code: Gate | ClassicalOp | None, opcode: int,
+         arity: str, operands: tuple[_Operand, ...], sep: str = ", ") -> _Format:
+    written = sum(op.syntax != _COND for op in operands)
+    return _Format(name, kind, code, opcode, arity, operands, written, sep)
+
+
+# a quantum word's first qubit, which the encoder packs inline
+_Q = _Operand("qubits", _QUBIT, 10, 6, "qubit index")
+_RD = _Operand("rd", _REG, 21, 5, "register")
+_RA = _Operand("ra", _REG, 16, 5, "register")
+
+
+def _gate(gate: Gate, arity: str, *rest: _Operand, sep: str = ", ") -> _Format:
+    return _row(gate.name, Kind.QUANTUM, gate, int(gate), arity, (_Q, *rest), sep)
+
+
+def _op(op: ClassicalOp, arity: str, *operands: _Operand) -> _Format:
+    return _row(op.name, Kind.CLASSICAL, op, 16 + op, arity, operands)
+
+
+_FORMATS = (
+    *(_gate(g, "takes one qubit") for g in (Gate.X, Gate.Y, Gate.Z, Gate.H)),
+    *(_gate(g, "needs a qubit and an angle",
+            _Operand("angle", _ANGLE, 0, 10, "angle"))
+      for g in (Gate.RX, Gate.RY, Gate.RZ)),
+    *(_gate(g, "takes two qubits", _Operand("qubits", _QUBIT, 4, 6, "qubit index"))
+      for g in (Gate.CNOT, Gate.CZ)),
+    _gate(Gate.MEAS, "needs a qubit and a result register",
+          _Operand("result_reg", _REG, 5, 5, "result register"), sep=" -> "),
+    _op(ClassicalOp.LDI, "takes a register and an immediate",
+        _RD, _Operand("imm", _IMM, 0, 21, "immediate")),   # two's complement
+    _op(ClassicalOp.MOV, "takes two registers", _RD, _RA),
+    *(_op(op, "takes three registers", _RD, _RA,
+          _Operand("rb", _REG, 11, 5, "register"))
+      for op in (ClassicalOp.ADD, ClassicalOp.SUB, ClassicalOp.AND,
+                 ClassicalOp.OR)),
+    _op(ClassicalOp.CMP, "takes two registers",
+        _Operand("ra", _REG, 21, 5, "register"),
+        _Operand("rb", _REG, 16, 5, "register")),
+    _op(ClassicalOp.BR, "takes one target",
+        _Operand("cond", _COND, 22, 4, "condition"),
+        _Operand("target", _TARGET, 0, 22, "branch target")),
+    _op(ClassicalOp.JMP, "takes one target",
+        _Operand("target", _TARGET, 0, 22, "jump target")),
+    _op(ClassicalOp.FMR, "takes a destination and a result register",
+        _RD, _Operand("result_reg", _REG, 16, 5, "result register")),
+    _row("MRCE", Kind.MRCE, None, 32, "takes result reg, qubit, op0, op1", (
+        _Operand("result_reg", _REG, 20, 6, "result register"),
+        _Operand("mrce_target", _QUBIT, 14, 6, "qubit index"),
+        _Operand("mrce_op0", _GATE_NAME, 7, 7, "op0"),
+        _Operand("mrce_op1", _GATE_NAME, 0, 7, "op1"))),
+    _row("END", Kind.END_BLOCK, None, 63, "takes no operands", ()),
+)
+# each enum's values overlap the others', so each has its own lookup
+_GATE_FORMATS = {f.code: f for f in _FORMATS if f.kind == Kind.QUANTUM}
+_OP_FORMATS = {f.code: f for f in _FORMATS if f.kind == Kind.CLASSICAL}
+_KIND_FORMATS = {f.kind: f for f in _FORMATS if f.code is None}
+_OPCODE_FORMATS = {f.opcode: f for f in _FORMATS}
+_PAIR_GATES = frozenset(g for g, f in _GATE_FORMATS.items()
+                        if [op.syntax for op in f.operands] == [_QUBIT, _QUBIT])
+
+# enum members read per instruction, bound once: looking a member up on
+# its enum class costs several times a module global
 _QUANTUM = Kind.QUANTUM
-_MEAS = Gate.MEAS
+_CLASSICAL = Kind.CLASSICAL
+
+
+def _format_of(ins: Instruction) -> _Format:
+    """The row of a classical, MRCE or END instruction."""
+    if ins.kind == _CLASSICAL:
+        return _OP_FORMATS[ins.classical_op]
+    return _KIND_FORMATS[ins.kind]
 
 
 class ParseError(ValueError):
@@ -217,8 +285,8 @@ _REG_RE = re.compile(r"^r(\d+)$")
 _LABEL_DEF_RE = re.compile(r"^([A-Za-z_][\w.]*):$")
 _NAME_RE = re.compile(r"^[A-Za-z_][\w.]*$")
 
-_GATE_MNEMONICS = {g.name: g for g in Gate if g != Gate.NOP}
-_CLASSICAL_MNEMONICS = {op.name: op for op in ClassicalOp}
+_QUANTUM_MNEMONICS = {f.name: f for f in _GATE_FORMATS.values()}
+_CLASSICAL_MNEMONICS = {f.name: f for f in _FORMATS if f.kind != Kind.QUANTUM}
 _COND_NAMES = {c.name.lower(): c for c in BranchCond}
 
 
@@ -244,104 +312,6 @@ def _split_operands(rest: str) -> list[str]:
     return [t.strip() for t in rest.split(",") if t.strip()]
 
 
-def _parse_quantum(label: int, mnemonic: str, ops: list[str], line_no: int) -> Instruction:
-    gate = _GATE_MNEMONICS[mnemonic]
-    if gate in TWO_QUBIT_GATES:
-        if len(ops) != 2:
-            raise ParseError(line_no, f"{mnemonic} takes two qubits")
-        q = (_parse_qubit(ops[0], line_no), _parse_qubit(ops[1], line_no))
-        if q[0] == q[1]:
-            raise ParseError(line_no, f"{mnemonic} qubits must be distinct")
-        return Instruction(Kind.QUANTUM, timing_label=label, gate=gate, qubits=q,
-                           src_line=line_no)
-    if gate == Gate.MEAS:
-        if len(ops) != 2:
-            raise ParseError(line_no, "MEAS needs a qubit and a result register")
-        return Instruction(Kind.QUANTUM, timing_label=label, gate=gate,
-                           qubits=(_parse_qubit(ops[0], line_no),),
-                           result_reg=_parse_reg(ops[1], line_no), src_line=line_no)
-    if gate in ROTATION_GATES:
-        if len(ops) != 2:
-            raise ParseError(line_no, f"{mnemonic} needs a qubit and an angle")
-        try:
-            angle = float(ops[1])
-        except ValueError:
-            raise ParseError(line_no, f"bad angle {ops[1]!r}") from None
-        return Instruction(Kind.QUANTUM, timing_label=label, gate=gate,
-                           qubits=(_parse_qubit(ops[0], line_no),),
-                           angle=quantize_angle(angle), src_line=line_no)
-    if len(ops) != 1:
-        raise ParseError(line_no, f"{mnemonic} takes one qubit")
-    return Instruction(Kind.QUANTUM, timing_label=label, gate=gate,
-                       qubits=(_parse_qubit(ops[0], line_no),), src_line=line_no)
-
-
-def _parse_classical(mnemonic: str, ops: list[str],
-                     line_no: int) -> tuple[Instruction, str | None]:
-    """The instruction, and the label its branch target names, if any."""
-    if mnemonic == "MRCE":
-        if len(ops) != 4:
-            raise ParseError(line_no, "MRCE takes result reg, qubit, op0, op1")
-        op0, op1 = ops[2].upper(), ops[3].upper()
-        for name in (op0, op1):
-            if name not in Gate.__members__ or Gate[name] not in MRCE_OPS:
-                raise ParseError(line_no, f"{name} is not a conditional-exec op")
-        return Instruction(Kind.MRCE, result_reg=_parse_reg(ops[0], line_no),
-                           mrce_target=_parse_qubit(ops[1], line_no),
-                           mrce_op0=Gate[op0], mrce_op1=Gate[op1],
-                           src_line=line_no), None
-    if mnemonic == "END":
-        if ops:
-            raise ParseError(line_no, "END takes no operands")
-        return Instruction(Kind.END_BLOCK, src_line=line_no), None
-
-    base = mnemonic.split(".")[0]
-    op = _CLASSICAL_MNEMONICS[base]
-    ins = Instruction(Kind.CLASSICAL, classical_op=op, src_line=line_no)
-    if op == ClassicalOp.LDI:
-        if len(ops) != 2:
-            raise ParseError(line_no, "LDI takes a register and an immediate")
-        ins.rd = _parse_reg(ops[0], line_no)
-        try:
-            ins.imm = int(ops[1], 0)
-        except ValueError:
-            raise ParseError(line_no, f"bad immediate {ops[1]!r}") from None
-    elif op == ClassicalOp.MOV:
-        if len(ops) != 2:
-            raise ParseError(line_no, "MOV takes two registers")
-        ins.rd, ins.ra = _parse_reg(ops[0], line_no), _parse_reg(ops[1], line_no)
-    elif op in (ClassicalOp.ADD, ClassicalOp.SUB, ClassicalOp.AND, ClassicalOp.OR):
-        if len(ops) != 3:
-            raise ParseError(line_no, f"{base} takes three registers")
-        ins.rd = _parse_reg(ops[0], line_no)
-        ins.ra = _parse_reg(ops[1], line_no)
-        ins.rb = _parse_reg(ops[2], line_no)
-    elif op == ClassicalOp.CMP:
-        if len(ops) != 2:
-            raise ParseError(line_no, "CMP takes two registers")
-        ins.ra, ins.rb = _parse_reg(ops[0], line_no), _parse_reg(ops[1], line_no)
-    elif op == ClassicalOp.FMR:
-        if len(ops) != 2:
-            raise ParseError(line_no, "FMR takes a destination and a result register")
-        ins.rd, ins.result_reg = _parse_reg(ops[0], line_no), _parse_reg(ops[1], line_no)
-    elif op in (ClassicalOp.BR, ClassicalOp.JMP):
-        if op == ClassicalOp.BR:
-            parts = mnemonic.split(".")
-            if len(parts) != 2 or parts[1].lower() not in _COND_NAMES:
-                raise ParseError(line_no, f"bad branch condition in {mnemonic!r}")
-            ins.cond = _COND_NAMES[parts[1].lower()]
-        if len(ops) != 1:
-            raise ParseError(line_no, f"{base} takes one target")
-        tok = ops[0]
-        if tok.lstrip("-").isdigit():
-            ins.target = int(tok)
-        elif _NAME_RE.match(tok):
-            return ins, tok
-        else:
-            raise ParseError(line_no, f"bad branch target {tok!r}")
-    return ins, None
-
-
 def _parse_instruction(line: str, line_no: int) -> tuple[Instruction, str | None]:
     """One stripped instruction line, and the label its branch target
     names, if any."""
@@ -355,18 +325,77 @@ def _parse_instruction(line: str, line_no: int) -> tuple[Instruction, str | None
             raise ParseError(line_no, f"timing label {label} too large")
         if len(tokens) < 2:
             raise ParseError(line_no, "timing label without an instruction")
-        body = tokens[1].split(None, 1)
-        mnemonic = body[0].upper()
-        if mnemonic not in _GATE_MNEMONICS:
+        tokens = tokens[1].split(None, 1)
+        mnemonic = tokens[0].upper()
+        fmt = _QUANTUM_MNEMONICS.get(mnemonic)
+        if fmt is None:
             raise ParseError(line_no, f"unknown quantum mnemonic {mnemonic!r}")
-        ops = _split_operands(body[1]) if len(body) > 1 else []
-        return _parse_quantum(label, mnemonic, ops, line_no), None
-    mnemonic = head.upper()
-    base = mnemonic.split(".")[0]
-    if base not in _CLASSICAL_MNEMONICS and mnemonic not in ("MRCE", "END"):
-        raise ParseError(line_no, f"unknown mnemonic {mnemonic!r}")
+    else:
+        mnemonic = head.upper()
+        # MRCE and END take no suffix; a classical mnemonic may, and BR
+        # reads its condition there
+        fmt = _CLASSICAL_MNEMONICS.get(mnemonic.split(".")[0])
+        if fmt is None or (fmt.kind != _CLASSICAL and mnemonic != fmt.name):
+            raise ParseError(line_no, f"unknown mnemonic {mnemonic!r}")
     ops = _split_operands(tokens[1]) if len(tokens) > 1 else []
-    return _parse_classical(mnemonic, ops, line_no)
+    if len(ops) != fmt.written:
+        raise ParseError(line_no, f"{fmt.name} {fmt.arity}")
+    if fmt.kind == _QUANTUM:
+        # the first qubit is read inline, as the encoder does
+        ins = Instruction(_QUANTUM, timing_label=label, gate=fmt.code,
+                          qubits=(_parse_qubit(ops[0], line_no),),
+                          src_line=line_no)
+        if len(ops) == 1:
+            return ins, None
+        first = 1
+    else:
+        ins = Instruction(fmt.kind, classical_op=fmt.code, src_line=line_no)
+        first = 0
+
+    target_name = None
+    rest = iter(ops[first:])
+    for field, syntax, *_ in fmt.operands[first:]:
+        if syntax == _COND:
+            parts = mnemonic.split(".")
+            if len(parts) != 2 or parts[1].lower() not in _COND_NAMES:
+                raise ParseError(line_no, f"bad branch condition in {mnemonic!r}")
+            value = _COND_NAMES[parts[1].lower()]
+        else:
+            tok = next(rest)
+            if syntax == _QUBIT:
+                value = _parse_qubit(tok, line_no)
+            elif syntax == _REG:
+                value = _parse_reg(tok, line_no)
+            elif syntax == _ANGLE:
+                # inf and nan have no step on the grid
+                try:
+                    value = quantize_angle(float(tok))
+                except (ValueError, OverflowError):
+                    raise ParseError(line_no, f"bad angle {tok!r}") from None
+            elif syntax == _IMM:
+                try:
+                    value = int(tok, 0)
+                except ValueError:
+                    raise ParseError(line_no, f"bad immediate {tok!r}") from None
+            elif syntax == _GATE_NAME:
+                tok = tok.upper()
+                if tok not in Gate.__members__ or Gate[tok] not in MRCE_OPS:
+                    raise ParseError(line_no, f"{tok} is not a conditional-exec op")
+                value = Gate[tok]
+            elif tok.lstrip("-").isdigit():
+                value = int(tok)
+            elif _NAME_RE.match(tok):
+                target_name = tok
+                continue
+            else:
+                raise ParseError(line_no, f"bad branch target {tok!r}")
+        if field == "qubits":
+            value = ins.qubits + (value,)
+        setattr(ins, field, value)
+    qubits = ins.qubits
+    if len(qubits) == 2 and qubits[0] == qubits[1]:
+        raise ParseError(line_no, f"{fmt.name} qubits must be distinct")
+    return ins, target_name
 
 
 # an instruction's field values but `src_line`, which is the last field
@@ -497,36 +526,28 @@ def _infer_qubit_count(instructions: list[Instruction]) -> int:
 def format_instruction(ins: Instruction) -> str:
     # fields may hold plain ints, as validation and the encoder accept;
     # names are read through the enums
-    if ins.kind == Kind.QUANTUM:
-        g = Gate(ins.gate)
-        if g in TWO_QUBIT_GATES:
-            body = f"{g.name} q{ins.qubits[0]}, q{ins.qubits[1]}"
-        elif g == Gate.MEAS:
-            body = f"MEAS q{ins.qubits[0]} -> r{ins.result_reg}"
-        elif g in ROTATION_GATES:
-            body = f"{g.name} q{ins.qubits[0]}, {ins.angle!r}"
+    if ins.kind == _QUANTUM:
+        fmt = _GATE_FORMATS[ins.gate]
+        if len(fmt.operands) == 1:
+            return f"{ins.timing_label} {fmt.name} q{ins.qubits[0]}"
+        head = f"{ins.timing_label} {fmt.name}"
+    else:
+        fmt = _format_of(ins)
+        head = fmt.name
+    parts = []
+    for i, (field, syntax, *_) in enumerate(fmt.operands):
+        value = ins.qubits[i] if field == "qubits" else getattr(ins, field)
+        if syntax == _COND:
+            head += "." + BranchCond(value).name.lower()
+        elif syntax == _QUBIT:
+            parts.append(f"q{value}")
+        elif syntax == _REG:
+            parts.append(f"r{value}")
+        elif syntax == _GATE_NAME:
+            parts.append(Gate(value).name)
         else:
-            body = f"{g.name} q{ins.qubits[0]}"
-        return f"{ins.timing_label} {body}"
-    if ins.kind == Kind.MRCE:
-        return (f"MRCE r{ins.result_reg}, q{ins.mrce_target}, "
-                f"{Gate(ins.mrce_op0).name}, {Gate(ins.mrce_op1).name}")
-    if ins.kind == Kind.END_BLOCK:
-        return "END"
-    op = ClassicalOp(ins.classical_op)
-    if op == ClassicalOp.LDI:
-        return f"LDI r{ins.rd}, {ins.imm}"
-    if op == ClassicalOp.MOV:
-        return f"MOV r{ins.rd}, r{ins.ra}"
-    if op in (ClassicalOp.ADD, ClassicalOp.SUB, ClassicalOp.AND, ClassicalOp.OR):
-        return f"{op.name} r{ins.rd}, r{ins.ra}, r{ins.rb}"
-    if op == ClassicalOp.CMP:
-        return f"CMP r{ins.ra}, r{ins.rb}"
-    if op == ClassicalOp.FMR:
-        return f"FMR r{ins.rd}, r{ins.result_reg}"
-    if op == ClassicalOp.BR:
-        return f"BR.{BranchCond(ins.cond).name.lower()} {ins.target}"
-    return f"JMP {ins.target}"
+            parts.append(repr(value))       # angle, immediate or target
+    return f"{head} {fmt.sep.join(parts)}" if parts else head
 
 
 def print_program(p: Program) -> str:
@@ -544,118 +565,70 @@ def print_program(p: Program) -> str:
 
 # ── Binary encoding ─────────────────────────────────────────────────
 
-def _check(value: int, width: int, what: str) -> int:
-    if not 0 <= value < (1 << width):
+def _check(value: int, width: int, what: str, low: int = 0) -> None:
+    if not low <= value < low + (1 << width):
         raise EncodingError(f"{what} {value} does not fit {width} bits")
-    return value
 
 
 def encode_instruction(ins: Instruction) -> int:
     """Pack an instruction into its 32-bit word."""
     if ins.kind == _QUANTUM:
-        gate = ins.gate
         label = ins.timing_label
         q0 = ins.qubits[0]
-        # the common fields are range-checked inline; `_check` only raises
+        # the label and first qubit are range-checked inline, like every
+        # unsigned field; `_check` only raises
         if not (0 <= label <= MAX_TIMING_LABEL and 0 <= q0 < MAX_QUBITS):
             _check(label, 10, "timing label")
             _check(q0, 6, "qubit index")
-        word = (_OPC_Q_BASE + int(gate) - 1) << 26 | label << 16 | q0 << 10
-        if gate in TWO_QUBIT_GATES:
-            word |= _check(ins.qubits[1], 6, "qubit index") << 4
-        elif gate == _MEAS:
-            word |= _check(ins.result_reg, 5, "result register") << 5
-        elif gate in ROTATION_GATES:
-            step = round(ins.angle / _TWO_PI * ANGLE_STEPS) % ANGLE_STEPS
-            word |= step
-        return word
-    if ins.kind == Kind.MRCE:
-        word = _OPC_MRCE << 26
-        word |= _check(ins.result_reg, 6, "result register") << 20
-        word |= _check(ins.mrce_target, 6, "qubit index") << 14
-        word |= _check(int(ins.mrce_op0), 7, "op0") << 7
-        word |= _check(int(ins.mrce_op1), 7, "op1")
-        return word
-    if ins.kind == Kind.END_BLOCK:
-        return _OPC_END << 26
-    op = ins.classical_op
-    word = (_OPC_C_BASE + int(op)) << 26
-    if op == ClassicalOp.LDI:
-        if not _IMM_MIN <= ins.imm <= _IMM_MAX:
-            raise EncodingError(f"immediate {ins.imm} does not fit {_IMM_BITS} bits")
-        word |= _check(ins.rd, 5, "register") << 21
-        word |= ins.imm & ((1 << _IMM_BITS) - 1)
-    elif op == ClassicalOp.MOV:
-        word |= _check(ins.rd, 5, "register") << 21
-        word |= _check(ins.ra, 5, "register") << 16
-    elif op in (ClassicalOp.ADD, ClassicalOp.SUB, ClassicalOp.AND, ClassicalOp.OR):
-        word |= _check(ins.rd, 5, "register") << 21
-        word |= _check(ins.ra, 5, "register") << 16
-        word |= _check(ins.rb, 5, "register") << 11
-    elif op == ClassicalOp.CMP:
-        word |= _check(ins.ra, 5, "register") << 21
-        word |= _check(ins.rb, 5, "register") << 16
-    elif op == ClassicalOp.FMR:
-        word |= _check(ins.rd, 5, "register") << 21
-        word |= _check(ins.result_reg, 5, "result register") << 16
-    elif op == ClassicalOp.BR:
-        word |= _check(int(ins.cond), 4, "condition") << 22
-        word |= _check(ins.target, 22, "branch target")
-    elif op == ClassicalOp.JMP:
-        word |= _check(ins.target, 22, "jump target")
+        fmt = _GATE_FORMATS[ins.gate]
+        word = fmt.opcode << 26 | label << 16 | q0 << 10
+        if len(fmt.operands) == 1:
+            return word
+        first = 1
+    else:
+        fmt = _format_of(ins)
+        word = fmt.opcode << 26
+        first = 0
+    operands = fmt.operands
+    for i in range(first, len(operands)):
+        field, syntax, shift, width, what = operands[i]
+        value = ins.qubits[i] if field == "qubits" else getattr(ins, field)
+        if syntax == _ANGLE:
+            value = round(value / _TWO_PI * ANGLE_STEPS) % ANGLE_STEPS
+        elif syntax == _IMM:
+            _check(value, width, what, -(1 << width - 1))   # two's complement
+            value &= (1 << width) - 1
+        elif not 0 <= value < 1 << width:
+            _check(value, width, what)
+        word |= value << shift
     return word
 
 
 def decode_instruction(word: int) -> Instruction:
     """Unpack a 32-bit word; decode(encode(i)) == i for valid instructions."""
     opcode = (word >> 26) & 0x3F
-    if opcode == _OPC_END:
-        return Instruction(Kind.END_BLOCK)
-    if opcode == _OPC_MRCE:
-        return Instruction(Kind.MRCE,
-                           result_reg=(word >> 20) & 0x3F,
-                           mrce_target=(word >> 14) & 0x3F,
-                           mrce_op0=Gate((word >> 7) & 0x7F),
-                           mrce_op1=Gate(word & 0x7F))
-    if _OPC_Q_BASE <= opcode < _OPC_Q_BASE + 10:
-        gate = Gate(opcode - _OPC_Q_BASE + 1)
-        label = (word >> 16) & 0x3FF
-        q0 = (word >> 10) & 0x3F
-        if gate in TWO_QUBIT_GATES:
-            return Instruction(Kind.QUANTUM, timing_label=label, gate=gate,
-                               qubits=(q0, (word >> 4) & 0x3F))
-        if gate == Gate.MEAS:
-            return Instruction(Kind.QUANTUM, timing_label=label, gate=gate,
-                               qubits=(q0,), result_reg=(word >> 5) & 0x1F)
-        angle = 0.0
-        if gate in ROTATION_GATES:
-            angle = (word & 0x3FF) * _TWO_PI / ANGLE_STEPS
-        return Instruction(Kind.QUANTUM, timing_label=label, gate=gate,
-                           qubits=(q0,), angle=angle)
-    if _OPC_C_BASE <= opcode < _OPC_C_BASE + 10:
-        op = ClassicalOp(opcode - _OPC_C_BASE)
-        ins = Instruction(Kind.CLASSICAL, classical_op=op)
-        if op == ClassicalOp.LDI:
-            ins.rd = (word >> 21) & 0x1F
-            raw = word & ((1 << _IMM_BITS) - 1)
-            ins.imm = raw - (1 << _IMM_BITS) if raw > _IMM_MAX else raw
-        elif op == ClassicalOp.MOV:
-            ins.rd, ins.ra = (word >> 21) & 0x1F, (word >> 16) & 0x1F
-        elif op in (ClassicalOp.ADD, ClassicalOp.SUB, ClassicalOp.AND, ClassicalOp.OR):
-            ins.rd = (word >> 21) & 0x1F
-            ins.ra = (word >> 16) & 0x1F
-            ins.rb = (word >> 11) & 0x1F
-        elif op == ClassicalOp.CMP:
-            ins.ra, ins.rb = (word >> 21) & 0x1F, (word >> 16) & 0x1F
-        elif op == ClassicalOp.FMR:
-            ins.rd, ins.result_reg = (word >> 21) & 0x1F, (word >> 16) & 0x1F
-        elif op == ClassicalOp.BR:
-            ins.cond = BranchCond((word >> 22) & 0xF)
-            ins.target = word & _TARGET_MAX
-        elif op == ClassicalOp.JMP:
-            ins.target = word & _TARGET_MAX
-        return ins
-    raise EncodingError(f"unknown opcode {opcode}")
+    fmt = _OPCODE_FORMATS.get(opcode)
+    if fmt is None:
+        raise EncodingError(f"unknown opcode {opcode}")
+    if fmt.kind == _QUANTUM:
+        ins = Instruction(_QUANTUM, timing_label=(word >> 16) & MAX_TIMING_LABEL,
+                          gate=fmt.code)
+    else:
+        ins = Instruction(fmt.kind, classical_op=fmt.code)
+    for field, syntax, shift, width, _ in fmt.operands:
+        value = (word >> shift) & ((1 << width) - 1)
+        if syntax == _ANGLE:
+            value = value * _TWO_PI / ANGLE_STEPS
+        elif syntax == _IMM and value >> (width - 1):
+            value -= 1 << width
+        elif syntax == _GATE_NAME:
+            value = Gate(value)
+        elif syntax == _COND:
+            value = BranchCond(value)
+        if field == "qubits":
+            value = ins.qubits + (value,)
+        setattr(ins, field, value)
+    return ins
 
 
 def encode_program(p: Program) -> bytes:
@@ -746,7 +719,7 @@ def validate_program(p: Program, qubit_budget: int | None = None) -> list[Diagno
     budget = qubit_budget if qubit_budget else p.qubit_count
     quantum, classical, mrce = Kind.QUANTUM, Kind.CLASSICAL, Kind.MRCE
     meas, fmr, br, jmp = Gate.MEAS, ClassicalOp.FMR, ClassicalOp.BR, ClassicalOp.JMP
-    cnot, cz = Gate.CNOT, Gate.CZ
+    pairs = _PAIR_GATES
     produced: set[int] = set()
     branches: list[int] = []
     readers: list[int] = []     # FMR and MRCE
@@ -761,7 +734,7 @@ def validate_program(p: Program, qubit_budget: int | None = None) -> list[Diagno
             if gate == meas:
                 produced.add(ins.result_reg)
             qubits = ins.qubits
-            if gate == cnot or gate == cz:
+            if gate in pairs:
                 if len(qubits) != 2 or qubits[0] == qubits[1]:
                     out.append(Diagnostic(
                         _ins_where(pc, ins),

@@ -226,6 +226,17 @@ def test_cli_validation_failure_exit_code(tmp_path):
     assert "never produced" in r.stderr
 
 
+def test_cli_assemble_parse_error_exit_code(tmp_path, capsys):
+    from qcpsim.cli import main
+    asm = tmp_path / "bad.qasm"
+    asm.write_text("0 H q0\n0 CNOT q1, q1\n")
+    binary = tmp_path / "bad.bin"
+    assert main(["assemble", str(asm), "-o", str(binary)]) == 1
+    assert capsys.readouterr().err == (
+        "error: line 2: CNOT qubits must be distinct\n")
+    assert not binary.exists()
+
+
 def test_cli_runtime_fault_exit_code(tmp_path):
     asm = tmp_path / "hang.qasm"
     asm.write_text("FMR r1, r0\n0 MEAS q0 -> r0\n")

@@ -154,6 +154,25 @@ def test_fmr_never_ready_deadlock_fault():
         Engine(parse_program(src), cfg).run()
 
 
+def test_one_core_deadlock_sleeps_until_the_watchdog(monkeypatch):
+    # on one core nothing can fill r0 once the read stalls, so the core
+    # sleeps until the watchdog's check instead of being woken each cycle
+    calls = []
+    run_cycle = Core.run_cycle
+
+    def counted(core, cycle):
+        calls.append(cycle)
+        return run_cycle(core, cycle)
+
+    monkeypatch.setattr(Core, "run_cycle", counted)
+    with pytest.raises(RuntimeFault) as fault:
+        Engine(parse_program("FMR r1, r0\n0 MEAS q0 -> r0\n"),
+               MachineConfig()).run()
+    assert str(fault.value) == (
+        "deadlock: no progress for 1000000 cycles (stalled at cycle 1000001)")
+    assert len(calls) <= 3
+
+
 def test_scalar_superscalar_scheduled_equivalence():
     programs = [gen_dense(nq, 9) for nq in (1, 2, 5, 8)]
     for p in programs:

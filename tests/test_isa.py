@@ -68,6 +68,150 @@ def test_parse_print_round_trip():
     assert parse_program(print_program(p)) == p
 
 
+# ROUND_TRIP plus one line for each mnemonic it lacks, with every word
+EVERY_MNEMONIC = ROUND_TRIP + "\n".join([
+    "0 X q0",
+    "1 Y q1",
+    "0 Z q2",
+    "3 RY q3, 0.7853981633974483",
+    "0 RZ q1, 4.71238898038469",
+    "5 CNOT q3, q0",
+]) + "\n"
+EVERY_MNEMONIC_WORDS = [
+    0x10000000, 0x28000060, 0x80304001, 0x14020900, 0x40BFFFEF, 0x44C50000,
+    0x48E53000, 0x4D072800, 0x51274000, 0x55494000, 0x592A0000, 0x5CC0000D,
+    0x64230000, 0x24040830, 0x6000000F, 0xFC000000, 0x04000000, 0x08010400,
+    0x0C000800, 0x18030C80, 0x1C000700, 0x20050C00,
+]
+
+
+def test_every_mnemonic_prints_and_packs_as_pinned():
+    p = parse_program(EVERY_MNEMONIC)
+    assert print_program(p) == EVERY_MNEMONIC
+    assert parse_program(print_program(p)) == p
+    words = [encode_instruction(ins) for ins in p.instructions]
+    assert words == EVERY_MNEMONIC_WORDS
+    assert [decode_instruction(w) for w in words] == p.instructions
+
+
+@pytest.mark.parametrize("source, message", [
+    # quantum operand counts, operands and labels
+    ("0 H q0, q1", "H takes one qubit"),
+    ("0 X", "X takes one qubit"),
+    ("0 CNOT q0", "CNOT takes two qubits"),
+    ("0 CZ q0, q1, q2", "CZ takes two qubits"),
+    ("0 MEAS q0", "MEAS needs a qubit and a result register"),
+    ("0 RX q0", "RX needs a qubit and an angle"),
+    ("0 RZ q0, 1.0, 2.0", "RZ needs a qubit and an angle"),
+    ("0 CNOT q1, q1", "CNOT qubits must be distinct"),
+    ("0 RY q0, half", "bad angle 'half'"),
+    ("0 H r0", "expected qubit operand, got 'r0'"),
+    ("0 CZ q0, 1", "expected qubit operand, got '1'"),
+    ("0 MEAS q0 -> q1", "expected register operand, got 'q1'"),
+    ("0 MEAS q0 -> r32", "register index 32 out of range"),
+    ("-1 H q0", "timing label must be nonnegative"),
+    ("1024 H q0", "timing label 1024 too large"),
+    ("5", "timing label without an instruction"),
+    ("0 FROB q0", "unknown quantum mnemonic 'FROB'"),
+    ("0 LDI r1, 2", "unknown quantum mnemonic 'LDI'"),
+    # classical operand counts and operands
+    ("LDI r1", "LDI takes a register and an immediate"),
+    ("LDI r1, x", "bad immediate 'x'"),
+    ("LDI r1, 0x1g", "bad immediate '0x1g'"),
+    ("LDI q1, 2", "expected register operand, got 'q1'"),
+    ("MOV r1", "MOV takes two registers"),
+    ("MOV r1, r40", "register index 40 out of range"),
+    ("ADD r1, r2", "ADD takes three registers"),
+    ("SUB r1, r2, r3, r4", "SUB takes three registers"),
+    ("AND r1", "AND takes three registers"),
+    ("OR r1, r2", "OR takes three registers"),
+    ("CMP r1", "CMP takes two registers"),
+    ("FMR r1", "FMR takes a destination and a result register"),
+    ("FMR r1, q0", "expected register operand, got 'q0'"),
+    ("BR.eq", "BR takes one target"),
+    ("JMP 1, 2", "JMP takes one target"),
+    ("JMP 1x", "bad branch target '1x'"),
+    ("BR.ne -", "bad branch target '-'"),
+    ("BR 3", "bad branch condition in 'BR'"),
+    ("BR.xx 3", "bad branch condition in 'BR.XX'"),
+    ("BR.eq.ne 3", "bad branch condition in 'BR.EQ.NE'"),
+    ("JMP nowhere", "dangling branch target 'nowhere'"),
+    # conditional execution and block end
+    ("MRCE r0, q0, X", "MRCE takes result reg, qubit, op0, op1"),
+    ("MRCE r0, q0, X, CNOT", "CNOT is not a conditional-exec op"),
+    ("MRCE r0, q0, foo, X", "FOO is not a conditional-exec op"),
+    ("MRCE q0, q0, X, X", "expected register operand, got 'q0'"),
+    ("MRCE r0, r0, X, X", "expected qubit operand, got 'r0'"),
+    ("END r0", "END takes no operands"),
+    ("FROB r1", "unknown mnemonic 'FROB'"),
+    ("MRCE.x r0, q0, X, X", "unknown mnemonic 'MRCE.X'"),
+])
+def test_parse_errors_pinned(source, message):
+    with pytest.raises(ParseError) as e:
+        parse_program(f"0 H q0\n{source}\n")
+    assert str(e.value) == f"line 2: {message}"
+
+
+@pytest.mark.parametrize("angle", ["inf", "-inf", "nan"])
+def test_angle_off_the_grid_is_a_parse_error(angle):
+    # an angle with no step on the 1/1024-turn grid is bad input, not a
+    # crash in the quantizer
+    with pytest.raises(ParseError) as e:
+        parse_program(f"0 H q0\n1 RX q0, {angle}\n")
+    assert str(e.value) == f"line 2: bad angle {angle!r}"
+
+
+def _classical(op, **fields):
+    return Instruction(Kind.CLASSICAL, classical_op=op, **fields)
+
+
+@pytest.mark.parametrize("ins, message", [
+    (Instruction(Kind.QUANTUM, gate=Gate.CZ, qubits=(0, -1)),
+     "qubit index -1 does not fit 6 bits"),
+    (Instruction(Kind.QUANTUM, gate=Gate.MEAS, qubits=(0,), result_reg=-1),
+     "result register -1 does not fit 5 bits"),
+    (_classical(ClassicalOp.LDI, rd=1, imm=1 << 20),
+     "immediate 1048576 does not fit 21 bits"),
+    (_classical(ClassicalOp.LDI, rd=1, imm=-(1 << 20) - 1),
+     "immediate -1048577 does not fit 21 bits"),
+    (_classical(ClassicalOp.LDI, rd=32), "register 32 does not fit 5 bits"),
+    (_classical(ClassicalOp.MOV, rd=32), "register 32 does not fit 5 bits"),
+    (_classical(ClassicalOp.MOV, ra=-1), "register -1 does not fit 5 bits"),
+    (_classical(ClassicalOp.ADD, rd=32), "register 32 does not fit 5 bits"),
+    (_classical(ClassicalOp.SUB, ra=32), "register 32 does not fit 5 bits"),
+    (_classical(ClassicalOp.OR, rb=32), "register 32 does not fit 5 bits"),
+    (_classical(ClassicalOp.CMP, ra=32), "register 32 does not fit 5 bits"),
+    (_classical(ClassicalOp.CMP, rb=32), "register 32 does not fit 5 bits"),
+    (_classical(ClassicalOp.FMR, rd=32), "register 32 does not fit 5 bits"),
+    (_classical(ClassicalOp.FMR, result_reg=32),
+     "result register 32 does not fit 5 bits"),
+    (_classical(ClassicalOp.BR, cond=16), "condition 16 does not fit 4 bits"),
+    (_classical(ClassicalOp.BR, target=1 << 22),
+     "branch target 4194304 does not fit 22 bits"),
+    (_classical(ClassicalOp.BR, target=-1),
+     "branch target -1 does not fit 22 bits"),
+    (_classical(ClassicalOp.JMP, target=1 << 22),
+     "jump target 4194304 does not fit 22 bits"),
+    (Instruction(Kind.MRCE, result_reg=64),
+     "result register 64 does not fit 6 bits"),
+    (Instruction(Kind.MRCE, mrce_target=64),
+     "qubit index 64 does not fit 6 bits"),
+    (Instruction(Kind.MRCE, mrce_op0=128), "op0 128 does not fit 7 bits"),
+    (Instruction(Kind.MRCE, mrce_op1=-1), "op1 -1 does not fit 7 bits"),
+])
+def test_encoding_errors_pinned(ins, message):
+    with pytest.raises(EncodingError) as e:
+        encode_instruction(ins)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("opcode", [0, 11, 15, 26, 31, 33, 62])
+def test_unknown_opcode_pinned(opcode):
+    with pytest.raises(EncodingError) as e:
+        decode_instruction(opcode << 26)
+    assert str(e.value) == f"unknown opcode {opcode}"
+
+
 def test_print_program_reads_plain_int_fields():
     # validation, the encoder and lowering accept plain ints in the enum
     # fields, so printing must too
