@@ -6,8 +6,6 @@
 # extracts a syndrome bit per stabilizer; three rounds feed a majority
 # vote. More processors soak up the parallel verification work.
 
-import numpy as np
-
 from qcpsim import (ExperimentSpec, MachineConfig, gen_steane_syndrome,
                     ideal_speedup, run_experiment)
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .config import SEED_STRIDE, MachineConfig
 from .engine import Engine, PreparedProgram, prepare
 from .isa import Program, parse_program
@@ -278,7 +276,6 @@ class Benchmark:
     name: str
     program: Program
     bias: float = 0.0
-    gate_ns: int = 20
 
 
 def make_benchmark(name: str, **params) -> Benchmark:
@@ -317,7 +314,6 @@ class ExperimentSpec:
     program: Program | PreparedProgram
     repetitions: int = 1
     bias: float | dict | None = 0.0
-    gate_ns: int = 20
 
     def __post_init__(self):
         if self.repetitions < 1:
@@ -344,23 +340,33 @@ def run_experiment(spec: ExperimentSpec, config: MachineConfig) -> RunReport:
     phash = prepared.program_hash
     first_cfg = _config_for(spec, config, config.seed, steps=True)
     trace = Engine(prepared, first_cfg).run()
-    report = build_report(trace, phash, spec.gate_ns)
+    report = build_report(trace, phash)
+    times = [trace.total_exec_ns]
+    for rep in range(1, spec.repetitions):
+        seed = config.seed + rep * SEED_STRIDE
+        cfg = _config_for(spec, config, seed, steps=False)
+        times.append(Engine(prepared, cfg).run().total_exec_ns)
+    report.extras["repetitions"] = spec.repetitions
+    report.extras["exec_ns_mean"] = sum(times) / len(times)
     if spec.repetitions > 1:
-        times = np.empty(spec.repetitions, dtype=np.int64)
-        times[0] = trace.total_exec_ns
-        for rep in range(1, spec.repetitions):
-            seed = config.seed + rep * SEED_STRIDE
-            cfg = _config_for(spec, config, seed, steps=False)
-            times[rep] = Engine(prepared, cfg).run().total_exec_ns
-        report.extras["repetitions"] = spec.repetitions
-        report.extras["exec_ns_mean"] = float(times.mean())
-        report.extras["exec_ns_p10"] = float(np.percentile(times, 10))
-        report.extras["exec_ns_p50"] = float(np.percentile(times, 50))
-        report.extras["exec_ns_p90"] = float(np.percentile(times, 90))
-    else:
-        report.extras["repetitions"] = 1
-        report.extras["exec_ns_mean"] = float(trace.total_exec_ns)
+        times.sort()
+        for p in (10, 50, 90):
+            report.extras[f"exec_ns_p{p}"] = _percentile(times, p)
     return report
+
+
+def _percentile(ordered: list[int], p: int) -> float:
+    """`numpy.percentile(ordered, p)` with its default linear method, bit
+    for bit: the same index, and numpy's interpolation from the nearer end,
+    which can differ in the last place from a correctly rounded one."""
+    index = (len(ordered) - 1) * (p / 100)
+    i = int(index)
+    a = ordered[i]
+    b = ordered[min(i + 1, len(ordered) - 1)]
+    t = index - i
+    if t >= 0.5:
+        return b - (b - a) * (1 - t)
+    return a + (b - a) * t
 
 
 def compare_runs(spec: ExperimentSpec, base: MachineConfig,

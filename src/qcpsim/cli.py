@@ -97,8 +97,7 @@ def cmd_bench(args) -> int:
     width = args.width
     config = replace(config, superscalar_width=width)
     spec = ExperimentSpec(prepare(bench.program, config),
-                          repetitions=args.seeds, bias=bench.bias,
-                          gate_ns=bench.gate_ns)
+                          repetitions=args.seeds, bias=bench.bias)
     results = sweep_cores(spec, config, cores)
     base_mean = results[cores[0]].extras["exec_ns_mean"]
     if args.ideal:

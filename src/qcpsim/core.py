@@ -332,6 +332,8 @@ class Core:
         now_ns = cycle * self.clock
         eff = cycle
 
+        if self.mrce_contexts and not self.ctx_pause:
+            self._resolve_contexts(cycle, now_ns)
         if self.ctx_pause > 0:
             self.ctx_pause -= 1
             self.attributed += 1
@@ -339,8 +341,6 @@ class Core:
             self._bump_waits()
             if self.ctx_pause == 0:
                 self._finish_context_switch(cycle)
-        elif self.mrce_contexts and self._maybe_resolve_context(cycle, now_ns):
-            pass
         elif self.redirect_penalty > 0:
             self.redirect_penalty -= 1
             self.attributed += 1
@@ -391,34 +391,27 @@ class Core:
 
     # ── conditional-execution contexts ─────────────────────────────
 
-    def _maybe_resolve_context(self, cycle: int, now_ns: int) -> bool:
-        """Start (or instantly complete) a pending context switch; returns
-        True when the switch consumed this cycle."""
+    def _resolve_contexts(self, cycle: int, now_ns: int) -> None:
+        """Switch to the open contexts whose results are readable, oldest
+        first. A free switch completes at once and leaves the cycle to
+        dispatch; the first paid one pauses the core for `ctx_cycles`
+        cycles, this one included."""
         rf = self.engine.result_file
-        resolved_free = False
-        for i, ctx in enumerate(self.mrce_contexts):
+        contexts = self.mrce_contexts
+        i = 0
+        while i < len(contexts):
+            ctx = contexts[i]
             value, ready, _ = rf[ctx.result_reg]
-            if ready <= now_ns:
-                self._ctx_resolving = (ctx, value, ready)
-                del self.mrce_contexts[i]
-                self.engine.context_switches.append(self.ctx_cycles)
-                if self.ctx_cycles == 0:
-                    self._ctx_pot = 0
-                    self._finish_context_switch(cycle)
-                    resolved_free = True
-                    break
-                self.attributed += 1
-                self._ctx_pot = 1
-                self._bump_waits()
-                if self.ctx_cycles == 1:
-                    self._finish_context_switch(cycle)
-                else:
-                    self.ctx_pause = self.ctx_cycles - 1
-                return True
-        if resolved_free:
-            # a zero-cost switch leaves the cycle free for normal dispatch
-            return self._maybe_resolve_context(cycle, now_ns)
-        return False
+            if ready > now_ns:
+                i += 1
+                continue
+            del contexts[i]
+            self._ctx_resolving = (ctx, value, ready)
+            self.engine.context_switches.append(self.ctx_cycles)
+            if self.ctx_cycles:
+                self.ctx_pause = self.ctx_cycles
+                return
+            self._finish_context_switch(cycle)
 
     def _finish_context_switch(self, cycle: int) -> None:
         ctx, value, ready = self._ctx_resolving
@@ -503,7 +496,7 @@ class Core:
         This is the fast path of the one dispatch rule. It goes on to run
         the cycles after `cycle` in the same call while the general rule
         would dispatch one group in each of them, up to `_horizon` and to
-        the cycle before `_maybe_resolve_context` takes an open context.
+        the cycle before `_resolve_contexts` takes an open context.
         Each step of its loop hands one timing point to `_dispatch_group`:
         the buffer's leading item and the label-0 items that join it, with
         the cycles the rule spends on them, one cycle for a point no wider
@@ -531,7 +524,7 @@ class Core:
         wall = end      # the first stream item the call must not fetch
         scoreboard = self.scoreboard
         if scoreboard:
-            # an open context: end before `_maybe_resolve_context` takes it,
+            # an open context: end before `_resolve_contexts` takes it,
             # or at `cycle` while its measurement may still issue in the run,
             # and fetch no classical item or item on its qubit
             rf = self.engine.result_file

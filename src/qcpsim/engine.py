@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .blocks import (PRIORITY, BlockInfoTable, build_table, to_direct_table,
+from .blocks import (BlockInfoTable, build_table, to_direct_table,
                      to_priority_table)
 from .config import MachineConfig
 from .core import (K_CLASSICAL, K_MRCE, K_QUANTUM, NEVER, SHARED_REG_BASE,
@@ -146,46 +146,35 @@ def independent_blocks(items, table: BlockInfoTable) -> tuple[bool, ...]:
     A block's footprint is the qubits it touches, MRCE targets included,
     the result registers it measures into or reads with FMR or MRCE, and
     the shared registers r24-r31 it reads or writes. Two blocks may run
-    concurrently when they are on one level of a priority table, or when
-    neither is a transitive dependence of the other in a direct table.
+    concurrently when neither is a transitive dependence of the other. A
+    priority table runs as its direct table over the level before, whose
+    concurrent blocks are exactly those of one level.
     No other core can see when an independent block's cycles run.
     """
-    entries = table.entries
+    entries = to_direct_table(table).entries
     prints = [_footprint(items[e.pc_start:e.pc_end + 1]) for e in entries]
     n = len(entries)
     clash = [False] * n
-    if table.representation == PRIORITY:
-        levels: dict[int, list[int]] = {}
-        for i, e in enumerate(entries):
-            levels.setdefault(e.priority, []).append(i)
-        for level in levels.values():
-            once = twice = 0    # bits of one block, and of two or more
-            for i in level:
-                twice |= once & prints[i]
-                once |= prints[i]
-            for i in level:
-                clash[i] = bool(prints[i] & twice)
-    else:
-        # every block's transitive dependences, to a fixed point
-        deps = [e.dep_mask for e in entries]
-        changed = True
-        while changed:
-            changed = False
-            for i, mask in enumerate(deps):
-                closed = mask
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    closed |= deps[low.bit_length() - 1]
-                    rest ^= low
-                if closed != mask:
-                    deps[i] = closed
-                    changed = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (prints[i] & prints[j] and not deps[i] >> j & 1
-                        and not deps[j] >> i & 1):
-                    clash[i] = clash[j] = True
+    # every block's transitive dependences, to a fixed point
+    deps = [e.dep_mask for e in entries]
+    changed = True
+    while changed:
+        changed = False
+        for i, mask in enumerate(deps):
+            closed = mask
+            rest = mask
+            while rest:
+                low = rest & -rest
+                closed |= deps[low.bit_length() - 1]
+                rest ^= low
+            if closed != mask:
+                deps[i] = closed
+                changed = True
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (prints[i] & prints[j] and not deps[i] >> j & 1
+                    and not deps[j] >> i & 1):
+                clash[i] = clash[j] = True
     return tuple(not c for c in clash)
 
 

@@ -703,9 +703,10 @@ def validate_program(p: Program, qubit_budget: int | None = None) -> list[Diagno
     """Static checks; an empty list means the program is runnable.
 
     Instructions are walked once. The walk reports qubit range errors and
-    quantum instructions whose qubits do not fit their gate, and collects
-    measurement producers plus the pcs of branches and result readers, which
-    the block and def-use checks then visit on their own.
+    quantum instructions whose gate has no quantum format (NOP) or whose
+    qubits do not fit their gate. It collects measurement producers plus the
+    pcs of branches and result readers, which the block and def-use checks
+    then visit on their own.
     """
     out: list[Diagnostic] = []
     instructions = p.instructions
@@ -719,7 +720,7 @@ def validate_program(p: Program, qubit_budget: int | None = None) -> list[Diagno
     budget = qubit_budget if qubit_budget else p.qubit_count
     quantum, classical, mrce = Kind.QUANTUM, Kind.CLASSICAL, Kind.MRCE
     meas, fmr, br, jmp = Gate.MEAS, ClassicalOp.FMR, ClassicalOp.BR, ClassicalOp.JMP
-    pairs = _PAIR_GATES
+    formats, pairs = _GATE_FORMATS, _PAIR_GATES
     produced: set[int] = set()
     branches: list[int] = []
     readers: list[int] = []     # FMR and MRCE
@@ -734,7 +735,11 @@ def validate_program(p: Program, qubit_budget: int | None = None) -> list[Diagno
             if gate == meas:
                 produced.add(ins.result_reg)
             qubits = ins.qubits
-            if gate in pairs:
+            if gate not in formats:
+                out.append(Diagnostic(_ins_where(pc, ins),
+                                      f"{Gate(gate).name} is not a quantum "
+                                      f"instruction"))
+            elif gate in pairs:
                 if len(qubits) != 2 or qubits[0] == qubits[1]:
                     out.append(Diagnostic(
                         _ins_where(pc, ins),

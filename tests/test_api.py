@@ -1,9 +1,12 @@
 """The package's code surface: every function and module-level name it
-defines has a reader, and every name a module imports is read there."""
+defines has a reader, every name a module imports is read there, and it
+imports nothing outside the standard library."""
 
 import ast
 import importlib
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -97,6 +100,20 @@ def test_no_unused_imports():
             module = ast.parse(path.read_text(), str(path))
             unused += [f"{path.stem}.{name}" for name in _unread_imports(module)]
     assert unused == []
+
+
+def test_import_loads_only_the_standard_library():
+    # `site` may have loaded third-party modules before the import, so only
+    # the modules the import adds are checked
+    code = ("import sys; before = set(sys.modules); "
+            f"sys.path.insert(0, {str(PACKAGE.parent)!r}); import qcpsim; "
+            "print(*sorted(set(sys.modules) - before))")
+    added = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, check=True).stdout.split()
+    assert "qcpsim.engine" in added
+    foreign = [name for name in added if name.split(".")[0] != "qcpsim"
+               and name.split(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []
 
 
 def _is_tuple_new(node: ast.AST) -> bool:

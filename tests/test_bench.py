@@ -2,19 +2,24 @@
 
 import json
 import os
+import random
+import statistics
 import subprocess
 import sys
 
 import pytest
 
 import qcpsim
-from qcpsim.bench import (BENCHMARKS, ExperimentSpec, compare_runs,
-                          gen_active_reset_plus_rb, gen_dense, gen_feedforward,
-                          gen_parallel_rus, gen_steane_syndrome, ideal_speedup,
-                          make_benchmark, run_experiment)
+from qcpsim.bench import (BENCHMARKS, ExperimentSpec, _percentile,
+                          compare_runs, gen_active_reset_plus_rb, gen_dense,
+                          gen_feedforward, gen_parallel_rus,
+                          gen_steane_syndrome, ideal_speedup, make_benchmark,
+                          run_experiment)
 from qcpsim.config import MachineConfig
 from qcpsim.engine import Engine
 from qcpsim.isa import ClassicalOp, Gate, Kind, print_program, validate_program
+from qcpsim.metrics import build_report
+from qcpsim.qpu import QpuConfig
 
 
 def test_all_generated_programs_validate():
@@ -118,6 +123,40 @@ def test_repetitions_vary_outcomes():
     spec = ExperimentSpec(gen_parallel_rus(2), repetitions=40, bias=0.4)
     rep = run_experiment(spec, MachineConfig())
     assert rep.extras["exec_ns_p90"] > rep.extras["exec_ns_p10"]
+
+
+def test_percentile_matches_numpy_to_the_last_bit():
+    np = pytest.importorskip(
+        "numpy", reason="numpy.percentile is the reference for _percentile")
+    rng = random.Random(20)
+    sizes = [n for n in range(1, 65) for _ in range(8)]
+    sizes += [rng.randint(65, 3000) for _ in range(40)]
+    for n in sizes:
+        high = rng.choice((20, 10**4, 10**7))    # small values repeat
+        ordered = sorted(rng.randrange(high) for _ in range(n))
+        for p in (10, 50, 90):
+            assert (repr(_percentile(ordered, p))
+                    == repr(float(np.percentile(ordered, p)))), (ordered, p)
+        assert repr(sum(ordered) / n) == repr(float(np.mean(ordered)))
+
+
+def test_percentile_rounds_as_numpy_does():
+    # numpy interpolates from the nearer end; the correctly rounded value,
+    # which `statistics.quantiles` gives, is one ulp away
+    assert _percentile([4, 45], 10) == 8.100000000000001
+    assert statistics.quantiles([4, 45], n=10, method="inclusive")[0] == 8.1
+    # past the midpoint numpy interpolates back from the upper value:
+    # 27 - 18 * (1 - 0.8), where 9 + 18 * 0.8 gives 23.4
+    assert [_percentile([3, 9, 27], p) for p in (10, 50, 90)] == [
+        4.2, 9.0, 23.400000000000002]
+
+
+def test_run_experiment_reads_tr_against_the_configured_gate_time():
+    program = gen_feedforward()
+    cfg = MachineConfig(qpu=QpuConfig(single_gate_ns=40))
+    direct = build_report(Engine(program, cfg).run()).avg_tr
+    assert run_experiment(ExperimentSpec(program), cfg).avg_tr == direct
+    assert direct == 0.3125
 
 
 def test_compare_runs_fills_speedup():
@@ -359,8 +398,7 @@ def test_cli_bench_ideal_reuses_one_core_baseline(monkeypatch, capsys, cores,
     assert len(runs) == expected_runs
     cells = json.loads(capsys.readouterr().out)["cells"]
     bench = make_benchmark("parallel_rus", n=2)
-    spec = ExperimentSpec(bench.program, repetitions=10, bias=bench.bias,
-                          gate_ns=bench.gate_ns)
+    spec = ExperimentSpec(bench.program, repetitions=10, bias=bench.bias)
     config = replace(MachineConfig(), superscalar_width=1)
     for n in cores.split(","):
         # the same value as measuring the baseline afresh for every cell

@@ -359,6 +359,27 @@ def test_shared_registers_visible_across_cores():
         assert any(e.gate == "X" for e in trace.events), cores
 
 
+@pytest.mark.parametrize("width", [1, 4])
+def test_alu_ops_write_exact_values(width):
+    # shared registers outlive the run; 6 is 0b0110 and 11 is 0b1011
+    src = "\n".join([
+        ".qubits 1",
+        "LDI r1, 6",
+        "LDI r2, 11",
+        "SUB r24, r1, r2",
+        "OR r25, r1, r2",
+        "ADD r26, r1, r2",
+        "AND r27, r1, r2",
+        "SUB r28, r2, r1",
+        "MOV r29, r2",
+        "END",
+    ])
+    engine = Engine(parse_program(src),
+                    MachineConfig(superscalar_width=width))
+    engine.run()
+    assert engine.shared_regs == [-5, 15, 17, 2, 5, 11, 0, 0]
+
+
 def _shared_register_race(pa, pb):
     # block A (core 0) reads r24 after pa filler ops and skips its X when it
     # sees 1; block B (core 1) writes 1 to r24 after pb filler ops

@@ -27,7 +27,7 @@ def run_digest(bench, width: int, cores: int, seed: int) -> str:
     config = MachineConfig(cores=cores, superscalar_width=width, seed=seed,
                            qpu=QpuConfig(outcome_bias=bench.bias))
     trace = Engine(bench.program, config).run()
-    report = build_report(trace, program_hash(bench.program), bench.gate_ns)
+    report = build_report(trace, program_hash(bench.program))
     h = hashlib.sha256()
     for text in (report.to_json(), events_to_csv(trace.events),
                  steps_to_csv(report), repr(trace.scheduler_events),

@@ -197,8 +197,7 @@ def test_serializers_match_reference(name):
             cfg = MachineConfig(superscalar_width=width, cores=cores, seed=1,
                                 qpu=QpuConfig(outcome_bias=bench.bias))
             trace = Engine(bench.program, cfg).run()
-            report = build_report(trace, program_hash(bench.program),
-                                  gate_ns=bench.gate_ns)
+            report = build_report(trace, program_hash(bench.program))
             _assert_serializers_match(report, trace.events)
 
 

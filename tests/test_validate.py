@@ -351,6 +351,7 @@ def test_machine_too_small_is_a_diagnostic():
     (Gate.CZ, (1,), "CZ takes two distinct qubits, got q1"),
     (Gate.CNOT, (1, 1), "CNOT takes two distinct qubits, got q1, q1"),
     (Gate.CNOT, (0, 1, 0), "CNOT takes two distinct qubits, got q0, q1, q0"),
+    (Gate.NOP, (0,), "NOP is not a quantum instruction"),
 ])
 def test_gate_arity_is_a_diagnostic(gate, qubits, message):
     # built through the API, which the parser's operand checks never see;
