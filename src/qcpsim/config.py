@@ -61,6 +61,9 @@ class MachineConfig:
                      "daq_ns", "jitter_ns"):
             if getattr(q, name) < 0:
                 raise ConfigError(f"qpu.{name} must be >= 0")
+        if q.single_gate_ns == 0:
+            # the unit of every report's time ratio
+            raise ConfigError("qpu.single_gate_ns must be positive")
         if q.clock_period_ns <= 0:
             raise ConfigError("qpu.clock_period_ns must be positive")
 

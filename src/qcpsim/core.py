@@ -183,7 +183,7 @@ class Core:
         "fb_mode", "pot_c", "pot_s", "pot_f",
         "exec_start_cycle", "attributed", "result_wait_cycles",
         "drain_cycles", "stall_reason", "last_seen", "next_pop_ns",
-        "next_call", "shared", "inflight", "independent", "late_results",
+        "next_call", "clash", "late_results",
     )
 
     def __init__(self, core_id: int, engine, width: int):
@@ -248,14 +248,9 @@ class Core:
         self.last_seen = -1
         self.next_pop_ns = NEVER
         self.next_call = 0
-        # other cores share the result file and the device
-        self.shared = engine.config.cores > 1
-        # this core's dispatched, unissued measurements of each register;
-        # only the wake rule of a shared result file reads them
-        self.inflight = ([0] * len(engine.result_file) if self.shared
-                         else None)
-        # whether the block it runs is independent of the other cores'
-        self.independent = True
+        # the clash mask of the block it runs (`Engine.clash`); 0 when the
+        # block is independent of the other cores'
+        self.clash = 0
 
     # ── block lifecycle ────────────────────────────────────────────
 
@@ -279,8 +274,8 @@ class Core:
         self.next_call = 0
         self.engine.activate(self)
         self.executing = block
-        flags = self.engine.independent
-        self.independent = flags is None or flags[block]
+        masks = self.engine.clash
+        self.clash = masks[block] if masks is not None else 0
         self.pc = pc_start
         self.pc_end = pc_end
         self.stream_ended = pc_start > pc_end
@@ -609,8 +604,8 @@ class Core:
         give the same outputs as when each runs in its own turn. The other
         active cores bound it at their next calls, so that none of them
         reads or writes the shared result registers, the shared register
-        file or the device in between. A core whose block is independent
-        (`Engine.independent`) skips that bound: every block that runs
+        file or the device in between. A core whose block's clash mask
+        (`Engine.clash`) is 0 skips that bound: every block that runs
         while it does, including one that starts later, touches none of
         its qubits and registers. The engine restores the issue logs to
         the per-cycle order once the run is over.
@@ -635,7 +630,7 @@ class Core:
                 if sched.dirty:
                     return cycle
                 last = min(last, sched.transfer[4] - 1)
-        if not self.independent:
+        if self.clash:
             me = self.core_id
             for core in active:
                 if core is not self:
@@ -816,8 +811,6 @@ class Core:
                 reg = self.engine.result_file[r]
                 reg[1] = NEVER
                 reg[2] += 1
-                if self.shared:
-                    self.inflight[r] += 1
                 entry.has_meas = True
         entry.last_cycle = cycle + cycles - 1
         entry.q_cycles += cycles
@@ -1073,8 +1066,6 @@ class Core:
                         item[3][0], actual, item[5])
                     reg = rf[rreg]
                     reg[2] -= 1
-                    if self.shared:
-                        self.inflight[rreg] -= 1
                     if not reg[2]:
                         reg[0] = value
                         reg[1] = ready
@@ -1144,48 +1135,30 @@ class Core:
         change: a queued issue, or a result register it reads becoming
         ready. None asks for the next cycle.
 
-        On a one-core machine only this core's queued issues can fill a
-        result register, and no other block can start beside it, so when
-        neither an issue nor a register it waits on has a time, only the
-        deadlock watchdog's next check can change anything."""
+        A waited register with no ready time polls, each cycle, only if it
+        is in the block's clash mask (`Engine.clash`). Any other is filled,
+        if at all, by one of this core's own issues, so the wait lasts
+        until the next of them; with none queued, only the deadlock
+        watchdog's next check can change anything."""
         if self.ctx_pause or self.redirect_penalty:
             return None
         rf = self.engine.result_file
-        best = self.next_pop_ns
-        for ctx in self.mrce_contexts:
-            ready = rf[ctx.result_reg][1]
-            if ready < best:
-                best = ready
-            elif ready == NEVER and self._polls(ctx.result_reg):
-                return None
+        clash = self.clash
+        waits = [ctx.result_reg for ctx in self.mrce_contexts]
         if self.fmr_wait is not None:
-            reg = self.fmr_wait[0]
+            waits.append(self.fmr_wait[0])
+        # an FMR held behind quantum work until its register is ready
+        waits += [item[8] for item in self.pending
+                  if item[0] == K_CLASSICAL and item[1] == _OP_FMR]
+        best = self.next_pop_ns
+        for reg in waits:
             ready = rf[reg][1]
             if ready < best:
                 best = ready
-            elif ready == NEVER and self._polls(reg):
+            elif ready == NEVER and clash >> reg & 1:
                 return None
-        for item in self.pending:
-            # an FMR held behind quantum work until its register is ready
-            if item[0] == K_CLASSICAL and item[1] == _OP_FMR:
-                reg = item[8]
-                ready = rf[reg][1]
-                if ready < best:
-                    best = ready
-                elif ready == NEVER and self._polls(reg):
-                    return None
         if best == NEVER:
-            if self.shared:
-                return None
             best = self.engine.deadline + 1
-            return best if best > cycle else cycle + 1
-        best = -(-best // self.clock)
+        else:
+            best = -(-best // self.clock)
         return best if best > cycle else cycle + 1
-
-    def _polls(self, reg: int) -> bool:
-        """Whether a wait on result register `reg`, which has no ready time,
-        must poll each cycle: with a shared result file, only when its
-        producers are all this core's own do they fill it at one of its
-        issues."""
-        return self.shared and not (
-            0 < self.engine.result_file[reg][2] == self.inflight[reg])

@@ -75,12 +75,12 @@ class RunTrace:
 class PreparedProgram:
     """Validation, table construction, and lowering done once per program,
     shared by every run of that program. This is the one place on the run
-    path where a program is validated. Its `program_hash` and the
-    independent blocks of each dependency mode are computed on first use,
+    path where a program is validated. Its `program_hash` and the blocks'
+    clash masks under each dependency mode are computed on first use,
     once."""
 
     __slots__ = ("program", "table", "items", "qubit_count", "_hash",
-                 "_independent")
+                 "_clashes")
 
     def __init__(self, program: Program, qubit_budget: int | None = None):
         diagnostics = validate_program(program, qubit_budget)
@@ -91,7 +91,7 @@ class PreparedProgram:
         self.items = decode_for_execution(program)
         self.qubit_count = program.qubit_count
         self._hash: str | None = None
-        self._independent: dict[str, tuple[bool, ...]] = {}
+        self._clashes: dict[str, tuple[int, ...]] = {}
 
     @property
     def program_hash(self) -> str:
@@ -99,15 +99,14 @@ class PreparedProgram:
             self._hash = program_hash(self.program)
         return self._hash
 
-    def independent_blocks(self, mode: str,
-                           table: BlockInfoTable) -> tuple[bool, ...]:
-        """Which blocks are independent under dependency mode `mode`, whose
-        table is `table`: see `independent_blocks`."""
-        flags = self._independent.get(mode)
-        if flags is None:
-            flags = self._independent[mode] = independent_blocks(
-                self.items, table)
-        return flags
+    def block_clashes(self, mode: str,
+                      table: BlockInfoTable) -> tuple[int, ...]:
+        """Each block's clash mask under dependency mode `mode`, whose table
+        is `table`: see `block_clashes`."""
+        masks = self._clashes.get(mode)
+        if masks is None:
+            masks = self._clashes[mode] = block_clashes(self.items, table)
+        return masks
 
 
 _FMR = int(ClassicalOp.FMR)
@@ -139,9 +138,10 @@ def _footprint(items) -> int:
     return bits
 
 
-def independent_blocks(items, table: BlockInfoTable) -> tuple[bool, ...]:
-    """For each block of `table`, whether it is independent: its footprint
-    is disjoint from that of every block that may run concurrently with it.
+def block_clashes(items, table: BlockInfoTable) -> tuple[int, ...]:
+    """For each block of `table`, its clash mask: the bits of its footprint
+    that some block that may run concurrently with it also has. A block
+    whose mask is 0 is independent.
 
     A block's footprint is the qubits it touches, MRCE targets included,
     the result registers it measures into or reads with FMR or MRCE, and
@@ -149,12 +149,15 @@ def independent_blocks(items, table: BlockInfoTable) -> tuple[bool, ...]:
     concurrently when neither is a transitive dependence of the other. A
     priority table runs as its direct table over the level before, whose
     concurrent blocks are exactly those of one level.
-    No other core can see when an independent block's cycles run.
+    No other core can see when an independent block's cycles run, and only
+    the block's own measurements fill a result register outside its mask
+    while it runs: those of its dependences have issued, and its
+    dependents have not started.
     """
     entries = to_direct_table(table).entries
     prints = [_footprint(items[e.pc_start:e.pc_end + 1]) for e in entries]
     n = len(entries)
-    clash = [False] * n
+    clash = [0] * n
     # every block's transitive dependences, to a fixed point
     deps = [e.dep_mask for e in entries]
     changed = True
@@ -172,10 +175,11 @@ def independent_blocks(items, table: BlockInfoTable) -> tuple[bool, ...]:
                 changed = True
     for i in range(n):
         for j in range(i + 1, n):
-            if (prints[i] & prints[j] and not deps[i] >> j & 1
-                    and not deps[j] >> i & 1):
-                clash[i] = clash[j] = True
-    return tuple(not c for c in clash)
+            both = prints[i] & prints[j]
+            if both and not deps[i] >> j & 1 and not deps[j] >> i & 1:
+                clash[i] |= both
+                clash[j] |= both
+    return tuple(clash)
 
 
 def prepare(program: Program | PreparedProgram,
@@ -205,10 +209,10 @@ class Engine:
         elif config.dependency_mode == "direct":
             table = to_direct_table(table)
         self.table = table
-        # blocks whose cores may run ahead of the other cores; None when
-        # every block may, with one core or one block
-        self.independent = (
-            program.independent_blocks(config.dependency_mode, table)
+        # each block's clash mask (`block_clashes`); None, as if every mask
+        # were 0, with one core or one block
+        self.clash = (
+            program.block_clashes(config.dependency_mode, table)
             if config.cores > 1 and len(table) > 1 else None)
 
         qubit_count = config.qpu.qubit_count or program.qubit_count
@@ -337,7 +341,7 @@ class Engine:
                 self.deadline = deadline
             cycle = min_wake if min_wake > cycle else cycle + 1
 
-        if self.independent is not None:
+        if self.clash is not None:
             self._restore_issue_order()
         trace = RunTrace(self.config)
         trace.total_cycles = cycle

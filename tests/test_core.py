@@ -155,8 +155,9 @@ def test_fmr_never_ready_deadlock_fault():
 
 
 def test_one_core_deadlock_sleeps_until_the_watchdog(monkeypatch):
-    # on one core nothing can fill r0 once the read stalls, so the core
-    # sleeps until the watchdog's check instead of being woken each cycle
+    # nothing can fill r0 once the read stalls: no other block touches it,
+    # so the core sleeps until the watchdog's check instead of being woken
+    # each cycle, on one core and beside a block on another core
     calls = []
     run_cycle = Core.run_cycle
 
@@ -165,12 +166,18 @@ def test_one_core_deadlock_sleeps_until_the_watchdog(monkeypatch):
         return run_cycle(core, cycle)
 
     monkeypatch.setattr(Core, "run_cycle", counted)
-    with pytest.raises(RuntimeFault) as fault:
-        Engine(parse_program("FMR r1, r0\n0 MEAS q0 -> r0\n"),
-               MachineConfig()).run()
-    assert str(fault.value) == (
-        "deadlock: no progress for 1000000 cycles (stalled at cycle 1000001)")
-    assert len(calls) <= 3
+    beside = _two_blocks(2, ["FMR r1, r0", "0 MEAS q0 -> r0", "END"],
+                         ["1 H q1", "END"])
+    for program, cores, stalled, most in (
+            (parse_program("FMR r1, r0\n0 MEAS q0 -> r0\n"), 1, 1000001, 3),
+            (beside, 2, 1000006, 10)):
+        calls.clear()
+        with pytest.raises(RuntimeFault) as fault:
+            Engine(program, MachineConfig(cores=cores)).run()
+        assert str(fault.value) == (
+            "deadlock: no progress for 1000000 cycles "
+            f"(stalled at cycle {stalled})")
+        assert len(calls) <= most, cores
 
 
 def test_scalar_superscalar_scheduled_equivalence():
@@ -510,6 +517,17 @@ WAKE_PROBES = {
         ".qubits 4\n" + "1 H q0\n" * 3
         + "100 X q1\n0 H q2\n0 H q3\n0 H q0\nEND\n",
         {"deadlock_timeout_cycles": 50}),
+    # two repeat-until-success blocks share r24, so neither is independent,
+    # and each FMR waits on a register only its own block measures: it
+    # sleeps until its own measurement issues, then until the result
+    "shared_block_waits_on_own_register": (
+        ".qubits 4\n0 H q0\nloop0:\n2 CZ q0, q1\n2 MEAS q1 -> r0\n"
+        "FMR r1, r0\nADD r24, r24, r1\nLDI r2, 1\nCMP r1, r2\nBR.eq loop0\n"
+        "END\n0 H q2\nloop1:\n2 CZ q2, q3\n2 MEAS q3 -> r3\nFMR r4, r3\n"
+        "ADD r24, r24, r4\nLDI r2, 1\nCMP r4, r2\nBR.eq loop1\nEND\n"
+        ".block A start=0 end=8 deps=none\n"
+        ".block B start=9 end=17 deps=none\n",
+        {"cores": 2, "seed": 3, "qpu": QpuConfig(outcome_bias=0.5)}),
 }
 
 
@@ -1056,6 +1074,11 @@ def test_run_ahead_call_counts_pinned(monkeypatch):
     cfg.qpu.outcome_bias = 0.3
     Engine(gen_parallel_rus(8), cfg).run()
     assert len(calls) <= 130
+    # blocks that share r24 each wait on their own result registers
+    calls.clear()
+    source, kw = WAKE_PROBES["shared_block_waits_on_own_register"]
+    Engine(parse_program(source), MachineConfig(**kw)).run()
+    assert len(calls) <= 57
 
 
 def test_fast_path_leaves_the_buffer_as_the_rule_does(monkeypatch):
@@ -1410,9 +1433,10 @@ def test_kernel_paths_agree_on_independent_blocks():
     assert ahead
 
 
-def _brute_force_independent(program, table):
-    """`independent_blocks` by definition: the footprints as sets, read
-    from the instructions, and every pair of blocks compared."""
+def _brute_force_clashes(program, table):
+    """`block_clashes` by definition: the footprints as sets, read from the
+    instructions, and every pair of blocks compared. Each block's set holds
+    the elements of its footprint that a concurrent block also has."""
     def footprint(entry):
         touched = set()
         for ins in program.instructions[entry.pc_start:entry.pc_end + 1]:
@@ -1441,9 +1465,16 @@ def _brute_force_independent(program, table):
         return not needs(a, b) and not needs(b, a)
 
     prints = [footprint(e) for e in table.entries]
-    return tuple(all(a == b or not concurrent(a, b) or not prints[a] & prints[b]
-                     for b in range(len(table)))
+    return tuple(set().union(*(prints[a] & prints[b] for b in range(len(table))
+                               if a != b and concurrent(a, b)))
                  for a in range(len(table)))
+
+
+def _footprint_bits(elements):
+    """Footprint elements as the engine's bits: result register r is bit r,
+    shared register r24 + i is bit 32 + i, and qubit q is bit 40 + q."""
+    offset = {"result": 0, "shared": 32 - SHARED_REG_BASE, "q": 40}
+    return sum(1 << offset[kind] + i for kind, i in elements)
 
 
 # b2 depends on b0 only through b1, so the two never run side by side
@@ -1461,8 +1492,9 @@ _DEPENDENCE_CHAIN = _lines(
 def test_independent_blocks_match_pairwise_definition(source, mode):
     program = parse_program(source)
     engine = Engine(program, MachineConfig(cores=2, dependency_mode=mode))
-    flags = engine.independent or (True,) * len(engine.table)
-    assert flags == _brute_force_independent(program, engine.table)
+    masks = engine.clash or (0,) * len(engine.table)
+    assert masks == tuple(map(_footprint_bits,
+                              _brute_force_clashes(program, engine.table)))
 
 
 # in each program one block reads a register that its own measurement
@@ -1488,7 +1520,7 @@ def test_deadlock_verdict_does_not_depend_on_running_ahead(
         program, verdict, monkeypatch):
     engine = Engine(program, MachineConfig(cores=2,
                                            deadlock_timeout_cycles=50))
-    assert engine.independent == (True, True)
+    assert engine.clash == (0, 0)
     verdicts = []
     for method, replacement in ((None, None),
                                 ("_dispatch_quantum", _general_rule),
