@@ -56,6 +56,8 @@ class MachineConfig:
             raise ConfigError("pipeline_depth must be >= 1")
         if self.dependency_mode not in ("auto", "direct", "priority"):
             raise ConfigError(f"bad dependency_mode {self.dependency_mode!r}")
+        if self.deadlock_timeout_cycles < 1:
+            raise ConfigError("deadlock_timeout_cycles must be >= 1")
         q = self.qpu
         for name in ("single_gate_ns", "two_gate_ns", "meas_pulse_ns",
                      "daq_ns", "jitter_ns"):
@@ -66,6 +68,10 @@ class MachineConfig:
             raise ConfigError("qpu.single_gate_ns must be positive")
         if q.clock_period_ns <= 0:
             raise ConfigError("qpu.clock_period_ns must be positive")
+        bias = q.outcome_bias
+        for p in bias.values() if isinstance(bias, dict) else (bias,):
+            if not 0.0 <= p <= 1.0:     # NaN fails both comparisons
+                raise ConfigError("qpu.outcome_bias must be in [0, 1]")
 
     def zero_cost_scheduling(self) -> "MachineConfig":
         """Variant with free allocation and switching, for ideal-speedup

@@ -35,9 +35,10 @@ arithmetic. The fast path also runs beside an open conditional context, up
 to the cycle before it resolves. `_drain` issues in one call the queued
 points of an ended stream, or of a core stalled on an FMR up to the cycle
 before the read can resolve, that fall due up to the horizon, which never
-passes the engine's next deadlock-watchdog check. Tests replace either fast
-path by the rule, or end every horizon at the call's cycle, and compare
-every output.
+passes the engine's next deadlock-watchdog check. The `OPTIMIZATIONS`
+table in `tests/test_core.py` lists both fast paths, the engine's event
+skipping and this run-ahead, each with the replacement that turns it off;
+every row runs on every input set and must change no output.
 
 Each result register is a `[value, ready_ns, producers]` list: a
 measurement's result is readable from `ready_ns` on, and `producers` counts

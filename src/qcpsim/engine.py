@@ -18,7 +18,7 @@ from .config import MachineConfig
 from .core import (K_CLASSICAL, K_MRCE, K_QUANTUM, NEVER, SHARED_REG_BASE,
                    Core, StepRecord, decode_for_execution)
 from .isa import (REGISTER_COUNT, ClassicalOp, Diagnostic, Program,
-                  program_hash, validate_program)
+                  program_hash, qubits_used, validate_program)
 from .qpu import Collision, IssueEvent, QpuState, issue_events
 from .sched import Scheduler, SchedulerEvent
 
@@ -75,12 +75,12 @@ class RunTrace:
 class PreparedProgram:
     """Validation, table construction, and lowering done once per program,
     shared by every run of that program. This is the one place on the run
-    path where a program is validated. Its `program_hash` and the blocks'
-    clash masks under each dependency mode are computed on first use,
-    once."""
+    path where a program is validated, every qubit it names against
+    `qubit_budget`. Its `program_hash`, `qubits_used` and the blocks' clash
+    masks under each dependency mode are computed on first use, once."""
 
-    __slots__ = ("program", "table", "items", "qubit_count", "_hash",
-                 "_clashes")
+    __slots__ = ("program", "table", "items", "qubit_count", "qubit_budget",
+                 "_hash", "_qubits_used", "_clashes")
 
     def __init__(self, program: Program, qubit_budget: int | None = None):
         diagnostics = validate_program(program, qubit_budget)
@@ -90,7 +90,9 @@ class PreparedProgram:
         self.table = build_table(program)
         self.items = decode_for_execution(program)
         self.qubit_count = program.qubit_count
+        self.qubit_budget = qubit_budget or program.qubit_count
         self._hash: str | None = None
+        self._qubits_used: int | None = None
         self._clashes: dict[str, tuple[int, ...]] = {}
 
     @property
@@ -98,6 +100,13 @@ class PreparedProgram:
         if self._hash is None:
             self._hash = program_hash(self.program)
         return self._hash
+
+    @property
+    def qubits_used(self) -> int:
+        """One more than the highest qubit the program names."""
+        if self._qubits_used is None:
+            self._qubits_used = qubits_used(self.program.instructions)
+        return self._qubits_used
 
     def block_clashes(self, mode: str,
                       table: BlockInfoTable) -> tuple[int, ...]:
@@ -219,6 +228,12 @@ class Engine:
         if program.qubit_count > qubit_count:
             raise ValidationFault([Diagnostic(
                 "machine", f"program uses {program.qubit_count} qubits, "
+                f"machine has {qubit_count}")])
+        if (program.qubit_budget > qubit_count
+                and program.qubits_used > qubit_count):
+            # validation checked the qubits against a larger budget
+            raise ValidationFault([Diagnostic(
+                "machine", f"program uses qubit q{program.qubits_used - 1}, "
                 f"machine has {qubit_count}")])
         self.qpu = QpuState(config.qpu, max(qubit_count, 1), config.seed)
 

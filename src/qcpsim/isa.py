@@ -476,7 +476,7 @@ def parse_program(text: str) -> Program:
         instructions[pc].target = labels[name]
 
     if qubit_count is None:
-        qubit_count = _infer_qubit_count(instructions)
+        qubit_count = qubits_used(instructions)
     return Program(instructions, directives, qubit_count)
 
 
@@ -511,7 +511,9 @@ def _parse_block_directive(line: str, line_no: int) -> BlockDirective:
     return BlockDirective(name, pc_start, pc_end, deps=deps, src_line=line_no)
 
 
-def _infer_qubit_count(instructions: list[Instruction]) -> int:
+def qubits_used(instructions: list[Instruction]) -> int:
+    """One more than the highest qubit the instructions name as a quantum
+    operand or MRCE target; 0 when they name none."""
     highest = -1
     for ins in instructions:
         for q in ins.qubits:

@@ -25,6 +25,12 @@ from qcpsim.isa import parse_program
     ("qpu.jitter_ns", -1, "qpu.jitter_ns must be >= 0"),
     ("qpu.single_gate_ns", 0, "qpu.single_gate_ns must be positive"),
     ("qpu.clock_period_ns", 0, "qpu.clock_period_ns must be positive"),
+    ("deadlock_timeout_cycles", 0, "deadlock_timeout_cycles must be >= 1"),
+    ("qpu.outcome_bias", 1.5, "qpu.outcome_bias must be in [0, 1]"),
+    ("qpu.outcome_bias", -0.2, "qpu.outcome_bias must be in [0, 1]"),
+    ("qpu.outcome_bias", float("nan"), "qpu.outcome_bias must be in [0, 1]"),
+    ("qpu.outcome_bias", {0: 0.5, 3: 2.0},
+     "qpu.outcome_bias must be in [0, 1]"),
 ])
 def test_validate_rejects(field, value, message):
     cfg = MachineConfig()

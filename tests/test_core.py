@@ -1,10 +1,11 @@
 """Processor behavior: dispatch, timing control, branches, fast context switch."""
 
+import functools
 import gc
-import json
 import re
 import weakref
 from collections import Counter
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +17,7 @@ from qcpsim.bench import (BENCHMARKS, gen_active_reset_plus_rb, gen_dense,
 from qcpsim.config import MachineConfig
 from qcpsim.blocks import PRIORITY
 from qcpsim.core import K_CLASSICAL, K_QUANTUM, SHARED_REG_BASE, Core
-from qcpsim.engine import Engine, RuntimeFault
+from qcpsim.engine import Engine, RunTrace, RuntimeFault
 from qcpsim.isa import ClassicalOp, Gate, Kind, parse_program, validate_program
 from qcpsim.metrics import build_report
 from qcpsim.qpu import QpuConfig, QpuState
@@ -414,19 +415,6 @@ def test_shared_register_read_sees_earlier_cycles_only():
     assert wrong == []
 
 
-def _canonical(trace):
-    # total cycles, result-wait and drain cycles are in the report
-    report = build_report(trace).to_dict()
-    report["steps"] = sorted(report["steps"], key=lambda s: (
-        s["core"], s["scheduled_ns"], s["step"]))
-    report["violations"] = sorted(report["violations"])
-    report["context_switches"] = sorted(report["context_switches"])
-    return (json.dumps(report, sort_keys=True), sorted(trace.events),
-            sorted((c.qubit, c.time_ns, c.busy_until_ns, c.gate)
-                   for c in trace.collisions),
-            sorted(trace.scheduler_events), sorted(trace.block_spans))
-
-
 def _lines(*lines):
     return "\n".join(lines) + "\n"
 
@@ -451,17 +439,29 @@ def _differential_configs():
     return configs
 
 
-def _raw(trace):
-    # the issue logs as the run leaves them, in their order
-    return trace.points, trace.violations, trace.collisions
+def test_collect_steps_changes_nothing_but_the_point_log():
+    # with `collect_steps` off the point log and both its views are empty,
+    # and every other field of the trace is the same
+    kept = [f.name for f in fields(RunTrace)
+            if f.name not in ("config", "points")]
+    for p, cfg in _differential_configs():
+        on = Engine(p, cfg).run()
+        off = Engine(p, replace(cfg, collect_steps=False)).run()
+        assert on.points and off.points == off.steps == off.events == []
+        assert ([getattr(off, name) for name in kept]
+                == [getattr(on, name) for name in kept]), cfg
 
 
 def _outcome(program, cfg):
+    """Every output of a run, each in the order the run leaves it, or the
+    text of the fault it ends in."""
     try:
         trace = Engine(program, cfg).run()
     except RuntimeFault as fault:
         return str(fault)
-    return _canonical(trace), _raw(trace)
+    return (build_report(trace).to_json(), trace.events, trace.steps,
+            repr(trace.scheduler_events), trace.total_cycles, trace.points,
+            trace.violations, trace.collisions)
 
 
 _run_cycle = Core.run_cycle
@@ -474,14 +474,47 @@ def _every_cycle(core, cycle):
     return wake if core.last_seen > cycle else None
 
 
-def test_event_skipping_matches_wake_every_cycle(monkeypatch):
-    # the engine jumps over the cycles a core says it will sleep through;
-    # waking every core on every cycle must not change any output
-    configs = _differential_configs()
-    skipping = [_canonical(Engine(p, cfg).run()) for p, cfg in configs]
-    monkeypatch.setattr(Core, "run_cycle", _every_cycle)
-    for (p, cfg), expected in zip(configs, skipping):
-        assert _canonical(Engine(p, cfg).run()) == expected, cfg
+def _classical_rule(core, cycle, now_ns):
+    # `Core._dispatch_classical_alone` replaced by the general per-cycle rule
+    return core._dispatch_picked(*core._pick_classical(core.pending, now_ns),
+                                 cycle, now_ns)
+
+
+def _general_rule(core, cycle):
+    # `Core._dispatch_quantum` replaced by the general per-cycle rule
+    return _classical_rule(core, cycle, cycle * core.clock)
+
+
+def _no_run_ahead(core, cycle):
+    # `Core._horizon` ending every run-ahead at the call's own cycle: no
+    # fast path or drain runs a cycle past it
+    return cycle
+
+
+# The kernel's optimizations: each row names one, the `Core` method that
+# makes it, and the replacement that turns it off. Each is a pure
+# optimization: turning it off must change no output of any run.
+OPTIMIZATIONS = {
+    "quantum_fast_path": ("_dispatch_quantum", _general_rule),
+    "classical_fast_path": ("_dispatch_classical_alone", _classical_rule),
+    "event_skipping": ("run_cycle", _every_cycle),
+    "run_ahead": ("_horizon", _no_run_ahead),
+}
+
+
+def _verdicts(program, cfg):
+    """The total cycles of the run, or its fault text, with every
+    optimization on and with each one off in turn."""
+    verdicts = set()
+    for method, replacement in [(None, None), *OPTIMIZATIONS.values()]:
+        with pytest.MonkeyPatch.context() as patch:
+            if method:
+                patch.setattr(Core, method, replacement)
+            try:
+                verdicts.add(Engine(program, cfg).run().total_cycles)
+            except RuntimeFault as fault:
+                verdicts.add(str(fault))
+    return verdicts
 
 
 # (program, config) pairs whose runs each need one kind of wake hint: a
@@ -531,31 +564,21 @@ WAKE_PROBES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(WAKE_PROBES))
-def test_wake_hints_are_never_late(name, monkeypatch):
-    source, kw = WAKE_PROBES[name]
-    p = parse_program(source)
-    cfg = MachineConfig(**kw)
-    skipping = _outcome(p, cfg)
-    monkeypatch.setattr(Core, "run_cycle", _every_cycle)
-    assert _outcome(p, cfg) == skipping
+# a wait of 1 us for a queued point, longer than the timeout, and a read
+# that no measurement can fill
+LONG_WAIT = (parse_program(WAKE_PROBES["long_wait_for_queued_point"][0]),
+             108)
+HANG = (parse_program("FMR r1, r0\n0 MEAS q0 -> r0\n"),
+        "deadlock: no progress for 50 cycles (stalled at cycle 51)")
 
 
-def test_deadlock_verdict_does_not_depend_on_the_wake_schedule(monkeypatch):
+def test_deadlock_verdict_does_not_depend_on_the_wake_schedule():
     # the watchdog counts the cycles the engine visits, so it must look at
     # what the cores wait on before it calls a long wait a deadlock; a read
     # that no measurement can fill still faults, with the same text
-    wait = parse_program(WAKE_PROBES["long_wait_for_queued_point"][0])
-    hang = parse_program("FMR r1, r0\n0 MEAS q0 -> r0\n")
     cfg = MachineConfig(deadlock_timeout_cycles=50)
-    for wake_every_cycle in (False, True):
-        if wake_every_cycle:
-            monkeypatch.setattr(Core, "run_cycle", _every_cycle)
-        assert Engine(wait, cfg).run().total_cycles == 108
-        with pytest.raises(RuntimeFault) as fault:
-            Engine(hang, cfg).run()
-        assert str(fault.value) == (
-            "deadlock: no progress for 50 cycles (stalled at cycle 51)")
+    for program, verdict in (LONG_WAIT, HANG):
+        assert _verdicts(program, cfg) == {verdict}
 
 
 # one timing point of 400 operations: no issue for 400 cycles at width 1
@@ -564,67 +587,23 @@ LONG_POINT = _lines(".qubits 4", "1 H q0",
 # the first point issues while the long second one dispatches
 ISSUE_THEN_LONG_POINT = _lines(".qubits 4", "1 H q0", "1 H q1",
                                *[f"0 H q{i % 4}" for i in range(399)], "END")
-
-
-@pytest.mark.parametrize("source, width, verdict", [
+LONG_POINTS = [
     (LONG_POINT, 1,
      "deadlock: no progress for 300 cycles (stalled at cycle 301)"),
     (ISSUE_THEN_LONG_POINT, 1,
      "deadlock: no progress for 300 cycles (stalled at cycle 306)"),
-    (LONG_POINT, 4, 104)])
+    (LONG_POINT, 4, 104)]
+
+
+@pytest.mark.parametrize("source, width, verdict", LONG_POINTS)
 def test_deadlock_verdict_does_not_depend_on_the_dispatch_path(
-        source, width, verdict, monkeypatch):
+        source, width, verdict):
     # the watchdog counts cycles with no issue and no block completion, so a
     # timing point whose dispatch outlasts the timeout is a deadlock on every
     # path: a run ahead stops at the watchdog's next check, and an issue
     # made in it counts from the cycle the rule issues it in
-    p = parse_program(source)
     cfg = MachineConfig(superscalar_width=width, deadlock_timeout_cycles=300)
-    for method, replacement in ((None, None),
-                                ("_dispatch_quantum", _general_rule),
-                                ("run_cycle", _every_cycle)):
-        with monkeypatch.context() as patch:
-            if method:
-                patch.setattr(Core, method, replacement)
-            try:
-                outcome = Engine(p, cfg).run().total_cycles
-            except RuntimeFault as fault:
-                outcome = str(fault)
-        assert outcome == verdict, method
-
-
-def _exact(trace):
-    return (build_report(trace).to_json(), trace.events, trace.steps,
-            repr(trace.scheduler_events), trace.total_cycles)
-
-
-def test_classical_alone_fast_path_matches_general_dispatch(monkeypatch):
-    # a classical head skips `_pick_classical`, and with no quantum follower
-    # also the group scan; routing it through them instead must change
-    # nothing, down to the order of every event and step
-    configs = _differential_configs()
-    alone_cycles, mixed_cycles = [], []
-    alone = Core._dispatch_classical_alone
-    picked = Core._dispatch_picked
-
-    def counted(core, cycle, now_ns):
-        alone_cycles.append(cycle)
-        return alone(core, cycle, now_ns)
-
-    def checked(core, cl_idx, barrier, cycle, now_ns):
-        assert core._pick_classical(core.pending, now_ns) == (cl_idx, barrier)
-        if cl_idx == 0 and core.pending[0][0] == K_CLASSICAL:
-            mixed_cycles.append(cycle)
-        return picked(core, cl_idx, barrier, cycle, now_ns)
-
-    monkeypatch.setattr(Core, "_dispatch_classical_alone", counted)
-    monkeypatch.setattr(Core, "_dispatch_picked", checked)
-    fast = [_exact(Engine(p, cfg).run()) for p, cfg in configs]
-    assert alone_cycles and mixed_cycles
-    monkeypatch.setattr(Core, "_dispatch_picked", picked)
-    monkeypatch.setattr(Core, "_dispatch_classical_alone", _classical_rule)
-    for (p, cfg), expected in zip(configs, fast):
-        assert _exact(Engine(p, cfg).run()) == expected, cfg
+    assert _verdicts(parse_program(source), cfg) == {verdict}
 
 
 def test_block_never_finishes_after_the_call_cycle(monkeypatch):
@@ -643,7 +622,6 @@ def test_block_never_finishes_after_the_call_cycle(monkeypatch):
 def test_finished_engine_freed_by_reference_counting():
     # with the cyclic collector off, only reference counting can free an
     # engine: no core may keep a reference back to it once the run is over
-    hang = parse_program("FMR r1, r0\n0 MEAS q0 -> r0\n")
     gc.disable()
     try:
         engine = Engine(gen_parallel_rus(2), MachineConfig(cores=2))
@@ -653,7 +631,7 @@ def test_finished_engine_freed_by_reference_counting():
         assert ref() is None
         assert trace.issue_count > 0
 
-        engine = Engine(hang, MachineConfig(deadlock_timeout_cycles=50))
+        engine = Engine(HANG[0], MachineConfig(deadlock_timeout_cycles=50))
         with pytest.raises(RuntimeFault):
             engine.run()
         ref = weakref.ref(engine)
@@ -661,25 +639,6 @@ def test_finished_engine_freed_by_reference_counting():
         assert ref() is None
     finally:
         gc.enable()
-
-
-def _no_run_ahead(core, cycle):
-    # `Core._horizon` ending every run-ahead at the call's own cycle: no
-    # fast path or drain runs a cycle past it
-    return cycle
-
-
-def _general_rule(core, cycle):
-    # `Core._dispatch_quantum` replaced by the general per-cycle rule
-    now_ns = cycle * core.clock
-    return core._dispatch_picked(*core._pick_classical(core.pending, now_ns),
-                                 cycle, now_ns)
-
-
-def _classical_rule(core, cycle, now_ns):
-    # `Core._dispatch_classical_alone` replaced by the general per-cycle rule
-    return core._dispatch_picked(*core._pick_classical(core.pending, now_ns),
-                                 cycle, now_ns)
 
 
 def _two_blocks(qubits, a, b):
@@ -736,12 +695,19 @@ LATE_START = _two_blocks(2, ["5 H q1"] + ["1 H q0"] * 10 + ["END"],
                          ["0 X q0", "END"])
 
 
+# both blocks issue to q0 each cycle; core 0 acts first in a cycle, so
+# core 1 runs ahead only to the cycle before core 0's next call
+SAME_QUBIT_EACH_CYCLE = _two_blocks(1, ["1 H q0"] * 4 + ["END"],
+                                    ["1 H q0"] * 7 + ["END"])
+
+
 def _probe_configs():
     return (_seeded(parse_program(RACE)) + _seeded(HIDDEN_RESULT)
             + [(_shared_qubit(late_x),
                 MachineConfig(cores=2, pipeline_depth=depth))
                for late_x in (False, True) for depth in (1, 2, 3)]
-            + [(LATE_START, MachineConfig(cores=2, prefetch=False))])
+            + [(LATE_START, MachineConfig(cores=2, prefetch=False)),
+               (SAME_QUBIT_EACH_CYCLE, MachineConfig(cores=2))])
 
 
 def test_cross_core_race_pinned():
@@ -853,7 +819,8 @@ def _join_configs():
                 for n in range(9)
                 for tail in (["LDI r1, 1", "0 H q0", "0 H q1", "END"], ["END"])
                 for width in (1, 2, 4, 8)]
-    return configs
+    return configs + FMR_BEFORE_CONDITIONAL + [
+        ZERO_LATENCY, SELF_COLLIDING_BLOCKS, CONTEXT_QUBIT_RUN]
 
 
 # with no readout latency, the measurement an FMR waits for is readable
@@ -876,29 +843,18 @@ FMR_BEFORE_CONDITIONAL = [(parse_program(_lines(
     MachineConfig(pipeline_depth=depth)) for depth in (3, 4)]
 
 
+# the gates on q0 join the point `0 H q1` opens while the context on q0 is
+# open: the run must stop before it fetches them
+CONTEXT_QUBIT_RUN = (parse_program(_lines(
+    ".qubits 4", "0 MEAS q3 -> r0", "0 H q0", "MRCE r0, q0, NOP, NOP",
+    "0 H q1", *["0 H q0"] * 6, "END")), MachineConfig(pipeline_depth=1))
+
+
 # two independent blocks whose every point collides with itself: the
 # device logs the collisions of both cores, interleaved in time
 SELF_COLLIDING_BLOCKS = (_two_blocks(2, ["1 H q0", "0 X q0"] * 5 + ["END"],
                                      ["1 H q1", "0 X q1"] * 5 + ["END"]),
                          MachineConfig(cores=2))
-
-
-def test_no_run_ahead_matches_run_ahead(monkeypatch):
-    # with `_horizon` at the call's own cycle no core runs a cycle early:
-    # the quantum fast path, the drains and the run-ahead of cores whose
-    # blocks are independent all stop, and every output must stay the
-    # same, down to the order of the issue logs
-    configs = (_differential_configs() + _probe_configs() + _join_configs()
-               + FMR_BEFORE_CONDITIONAL
-               + [ZERO_LATENCY, SELF_COLLIDING_BLOCKS])
-    ahead = []
-    for p, cfg in configs:
-        trace = Engine(p, cfg).run()
-        ahead.append((_exact(trace), _raw(trace)))
-    monkeypatch.setattr(Core, "_horizon", _no_run_ahead)
-    for (p, cfg), expected in zip(configs, ahead):
-        trace = Engine(p, cfg).run()
-        assert (_exact(trace), _raw(trace)) == expected, cfg
 
 
 def _prefetch_mid_run(c_deps):
@@ -961,17 +917,28 @@ def _quantum_next(core):
     return item is not None and item[0] == K_QUANTUM
 
 
-def test_quantum_fast_path_matches_general_rule(monkeypatch):
-    # the quantum batch loop is a fast path of the one dispatch rule: doing
-    # every cycle through `_pick_classical` and `_dispatch_picked` instead
-    # must not change any output, down to the order of every record
-    configs = (_grid_configs() + _differential_configs() + _probe_configs()
-               + _join_configs() + _sched_bound_configs())
-    ahead = []
-    seen = Counter()
+def _observe(patch, seen):
+    """Wrap the kernel's fast paths so that `seen` counts the kinds of work
+    they do in a run. Each classical instruction that dispatches must be
+    the one `_pick_classical` picks."""
+    alone = Core._dispatch_classical_alone
+    picked = Core._dispatch_picked
     fast = Core._dispatch_quantum
+    run_cycle = Core.run_cycle
+    issue_entry = Core._issue_entry
+    reached = []
 
-    def counted(core, cycle):
+    def counted_alone(core, cycle, now_ns):
+        seen["classical alone"] += 1
+        return alone(core, cycle, now_ns)
+
+    def checked(core, cl_idx, barrier, cycle, now_ns):
+        assert core._pick_classical(core.pending, now_ns) == (cl_idx, barrier)
+        if cl_idx == 0 and core.pending[0][0] == K_CLASSICAL:
+            seen["classical beside quantum"] += 1
+        return picked(core, cl_idx, barrier, cycle, now_ns)
+
+    def counted_quantum(core, cycle):
         if (core.open_entry is not None and core.pending[0][1] == 0
                 and core.pot_c + core.pot_s + core.pot_f):
             seen["run joins with cycles to claim"] += 1
@@ -983,7 +950,8 @@ def test_quantum_fast_path_matches_general_rule(monkeypatch):
         bound = idle and (sched.dirty or transfer is not None) and can_start
         last = core._horizon(cycle)
         extra = fast(core, cycle)
-        ahead.append(extra)
+        if extra > 1:
+            seen["run of three cycles or more"] += 1
         if cycle + extra == last and _run_goes_on(core):
             seen["run cut by the horizon"] += 1
         if (idle and not can_start and transfer is not None
@@ -995,13 +963,105 @@ def test_quantum_fast_path_matches_general_rule(monkeypatch):
             seen["run beside an open context"] += 1
         return extra
 
-    monkeypatch.setattr(Core, "_dispatch_quantum", counted)
-    expected = [_exact(Engine(p, cfg).run()) for p, cfg in configs]
-    assert max(ahead) > 1
-    assert len(seen) == 5, seen
-    monkeypatch.setattr(Core, "_dispatch_quantum", _general_rule)
+    def issuing(core, entry, local, actual):
+        reached.append(-(-actual // core.clock))
+        return issue_entry(core, entry, local, actual)
+
+    def tracked(core, cycle):
+        # a call that dispatches or issues in a cycle after another active
+        # core's next call, or in it when that core acts first in a cycle
+        bounds = [other.next_call - (other.core_id < core.core_id)
+                  for other in core.engine.active_cores if other is not core]
+        reached.clear()
+        wake = run_cycle(core, cycle)
+        if bounds and max(reached + [core.last_seen]) > min(bounds):
+            seen["run past another core"] += 1
+        return wake
+
+    for method, wrapper in (("_dispatch_classical_alone", counted_alone),
+                            ("_dispatch_picked", checked),
+                            ("_dispatch_quantum", counted_quantum),
+                            ("_issue_entry", issuing),
+                            ("run_cycle", tracked)):
+        patch.setattr(Core, method, wrapper)
+
+
+def _wake_configs():
+    return [(parse_program(source), MachineConfig(**kw))
+            for source, kw in WAKE_PROBES.values()]
+
+
+def _deadlock_configs():
+    cfg = MachineConfig(deadlock_timeout_cycles=50)
+    return ([(LONG_WAIT[0], cfg), (HANG[0], cfg)]
+            + [(parse_program(source), MachineConfig(
+                superscalar_width=width, deadlock_timeout_cycles=300))
+               for source, width, _ in LONG_POINTS]
+            + [(program, RUN_AHEAD_CONFIG)
+               for program, _ in RUN_AHEAD_DEADLOCKS])
+
+
+# the inputs each optimization runs on, by name
+INPUT_SETS = {
+    "differential": _differential_configs,
+    "probes": _probe_configs,
+    "joins": _join_configs,
+    "grid": _grid_configs,
+    "sched_bound": _sched_bound_configs,
+    "wakes": _wake_configs,
+    "deadlocks": _deadlock_configs,
+}
+
+
+@functools.cache
+def _baseline(inputs):
+    """Input set `inputs`, the outcome of each of its runs with every
+    optimization on, and the kinds of work the fast paths did in them."""
+    configs = INPUT_SETS[inputs]()
+    seen = Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        _observe(patch, seen)
+        outcomes = [_outcome(p, cfg) for p, cfg in configs]
+    return configs, outcomes, seen
+
+
+@pytest.mark.parametrize("optimization, inputs", [
+    pytest.param(optimization, inputs, id=f"{optimization}-{inputs}")
+    for optimization in OPTIMIZATIONS for inputs in INPUT_SETS])
+def test_optimization_changes_no_output(optimization, inputs, monkeypatch):
+    # the optimization turned off must give every output of every run of
+    # the set, down to the order of each log, or the same fault
+    configs, expected, _ = _baseline(inputs)
+    monkeypatch.setattr(Core, *OPTIMIZATIONS[optimization])
     for (p, cfg), want in zip(configs, expected):
-        assert _exact(Engine(p, cfg).run()) == want, cfg
+        assert _outcome(p, cfg) == want, cfg
+
+
+@pytest.mark.parametrize("name", sorted(WAKE_PROBES))
+def test_wake_hints_are_never_late(name, monkeypatch):
+    # with every optimization off at once each core steps through every
+    # cycle by the plain rule, so a wake hint that sleeps through a cycle
+    # the probe's core could act in shows as a changed output
+    configs, expected, _ = _baseline("wakes")
+    index = list(WAKE_PROBES).index(name)
+    for method, replacement in OPTIMIZATIONS.values():
+        monkeypatch.setattr(Core, method, replacement)
+    assert _outcome(*configs[index]) == expected[index]
+
+
+def test_input_sets_make_the_fast_paths_do_every_kind_of_work():
+    # a fast path the inputs never take shows nothing when it is turned off
+    classical = _baseline("differential")[2]
+    for kind in ("classical alone", "classical beside quantum"):
+        assert classical[kind], kind
+    quantum = sum((_baseline(inputs)[2] for inputs in (
+        "grid", "differential", "probes", "joins", "sched_bound")), Counter())
+    for kind in ("run of three cycles or more",
+                 "run joins with cycles to claim", "run cut by the horizon",
+                 "run past a prefetch landing",
+                 "run stopped while a block can start",
+                 "run beside an open context"):
+        assert quantum[kind], kind
 
 
 def test_one_dispatch_group_call_per_timing_point(monkeypatch):
@@ -1286,12 +1346,14 @@ _DRAIN_PAST_OTHER_CORE = _lines(
        bias=st.sampled_from((0.0, 0.5, 1.0)),
        depth=st.sampled_from((1, 2, 3)), ctx=st.sampled_from((0, 1, 3)),
        prefetch=st.booleans(), t_switch=st.sampled_from((0, 2)))
-def test_kernel_paths_agree_on_random_programs(source, width, cores, seed,
-                                              bias, depth, ctx, prefetch,
-                                              t_switch):
-    # both dispatch fast paths, the event-skipping engine and every run
-    # ahead are pure optimizations: turning any of them off gives the same
-    # outputs, with the issue logs in the same order, or the same fault
+def test_kernel_paths_agree_on_random_programs(**draws):
+    _check_paths_agree(**draws)
+
+
+def _check_paths_agree(source, width, cores, seed, bias, depth, ctx,
+                       prefetch, t_switch):
+    """Turn each optimization off in turn on the run drawn: it must give
+    the same outcome. Returns what the fast paths did with all on."""
     p = parse_program(source)
     assert validate_program(p) == []
     cfg = MachineConfig(cores=cores, superscalar_width=width, seed=seed,
@@ -1299,14 +1361,15 @@ def test_kernel_paths_agree_on_random_programs(source, width, cores, seed,
                         prefetch=prefetch, t_switch=t_switch,
                         deadlock_timeout_cycles=300)
     cfg.qpu.outcome_bias = bias
-    expected = _outcome(p, cfg)
-    for method, replacement in (("_dispatch_quantum", _general_rule),
-                                ("_dispatch_classical_alone", _classical_rule),
-                                ("run_cycle", _every_cycle),
-                                ("_horizon", _no_run_ahead)):
+    seen = Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        _observe(patch, seen)
+        expected = _outcome(p, cfg)
+    for name, (method, replacement) in OPTIMIZATIONS.items():
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(Core, method, replacement)
-            assert _outcome(p, cfg) == expected, method
+            assert _outcome(p, cfg) == expected, name
+    return seen
 
 
 # mostly quantum and mostly label 0, so that long runs of label-0 groups
@@ -1323,11 +1386,8 @@ _RUN_HEAVY = _block_programs(
        bias=st.sampled_from((0.0, 0.5, 1.0)),
        depth=st.sampled_from((1, 2, 3)), ctx=st.sampled_from((0, 1, 3)),
        prefetch=st.booleans(), t_switch=st.sampled_from((0, 2)))
-def test_kernel_paths_agree_on_run_heavy_programs(source, width, cores, seed,
-                                                  bias, depth, ctx, prefetch,
-                                                  t_switch):
-    test_kernel_paths_agree_on_random_programs.hypothesis.inner_test(
-        source, width, cores, seed, bias, depth, ctx, prefetch, t_switch)
+def test_kernel_paths_agree_on_run_heavy_programs(**draws):
+    _check_paths_agree(**draws)
 
 
 def _own(ins, b):
@@ -1369,34 +1429,6 @@ def _independent_block_programs(draw):
     return _assemble(draw, bodies, 8)
 
 
-def _ran_past_other_cores(monkeypatch):
-    """Record in the list returned each call in which a core dispatches
-    or issues in a cycle after another active core's next call."""
-    passed = []
-    reached = []
-    run_cycle = Core.run_cycle
-    issue_entry = Core._issue_entry
-
-    def issuing(core, entry, local, actual):
-        reached.append(-(-actual // core.clock))
-        return issue_entry(core, entry, local, actual)
-
-    def tracked(core, cycle):
-        me = core.core_id
-        bounds = [other.next_call - 1 if other.core_id < me
-                  else other.next_call
-                  for other in core.engine.active_cores if other is not core]
-        reached.clear()
-        wake = run_cycle(core, cycle)
-        if bounds and max(reached + [core.last_seen]) > min(bounds):
-            passed.append((core.core_id, cycle))
-        return wake
-
-    monkeypatch.setattr(Core, "run_cycle", tracked)
-    monkeypatch.setattr(Core, "_issue_entry", issuing)
-    return passed
-
-
 def test_kernel_paths_agree_on_independent_blocks():
     # blocks on disjoint qubits and registers let their cores run ahead of
     # each other; every kernel path must still agree, and some examples
@@ -1411,23 +1443,9 @@ def test_kernel_paths_agree_on_independent_blocks():
            bias=st.sampled_from((0.0, 0.5, 1.0)),
            depth=st.sampled_from((1, 2, 3)), ctx=st.sampled_from((0, 1, 3)),
            prefetch=st.booleans(), t_switch=st.sampled_from((0, 2)))
-    def check(source, width, cores, seed, bias, depth, ctx, prefetch,
-              t_switch):
-        cfg = MachineConfig(cores=cores, superscalar_width=width, seed=seed,
-                            pipeline_depth=depth, ctx_switch_cycles=ctx,
-                            prefetch=prefetch, t_switch=t_switch,
-                            deadlock_timeout_cycles=300)
-        cfg.qpu.outcome_bias = bias
-        with pytest.MonkeyPatch.context() as patch:
-            passed = _ran_past_other_cores(patch)
-            try:
-                Engine(parse_program(source), cfg).run()
-            except RuntimeFault:
-                pass
-        if passed:
-            ahead.append(source)
-        test_kernel_paths_agree_on_random_programs.hypothesis.inner_test(
-            source, width, cores, seed, bias, depth, ctx, prefetch, t_switch)
+    def check(**draws):
+        if _check_paths_agree(**draws)["run past another core"]:
+            ahead.append(draws["source"])
 
     check()
     assert ahead
@@ -1515,26 +1533,17 @@ RUN_AHEAD_DEADLOCKS = [
 ]
 
 
+RUN_AHEAD_CONFIG = MachineConfig(cores=2, deadlock_timeout_cycles=50)
+
+
 @pytest.mark.parametrize("program, verdict", RUN_AHEAD_DEADLOCKS)
-def test_deadlock_verdict_does_not_depend_on_running_ahead(
-        program, verdict, monkeypatch):
-    engine = Engine(program, MachineConfig(cores=2,
-                                           deadlock_timeout_cycles=50))
-    assert engine.clash == (0, 0)
-    verdicts = []
-    for method, replacement in ((None, None),
-                                ("_dispatch_quantum", _general_rule),
-                                ("_dispatch_classical_alone", _classical_rule),
-                                ("run_cycle", _every_cycle),
-                                ("_horizon", _no_run_ahead)):
-        with monkeypatch.context() as patch:
-            if method:
-                patch.setattr(Core, method, replacement)
-            passed = _ran_past_other_cores(patch)
-            with pytest.raises(RuntimeFault) as fault:
-                Engine(program, MachineConfig(
-                    cores=2, deadlock_timeout_cycles=50)).run()
-        verdicts.append(str(fault.value))
-        if method is None:
-            assert passed
-    assert verdicts == [verdict] * 5
+def test_deadlock_verdict_does_not_depend_on_running_ahead(program,
+                                                           verdict):
+    assert Engine(program, RUN_AHEAD_CONFIG).clash == (0, 0)
+    seen = Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        _observe(patch, seen)
+        with pytest.raises(RuntimeFault):
+            Engine(program, RUN_AHEAD_CONFIG).run()
+    assert seen["run past another core"]
+    assert _verdicts(program, RUN_AHEAD_CONFIG) == {verdict}

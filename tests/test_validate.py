@@ -343,6 +343,30 @@ def test_machine_too_small_is_a_diagnostic():
     assert str(info.value) == "machine: program uses 4 qubits, machine has 2"
 
 
+@pytest.mark.parametrize("source", [
+    ".qubits 2\n0 H q0\n1 H q5\nEND\n",
+    ".qubits 2\n0 MEAS q0 -> r0\nMRCE r0, q5, NOP, X\nEND\n"])
+def test_machine_without_a_used_qubit_is_a_diagnostic(source, tmp_path,
+                                                      capsys):
+    # a qubit budget lets a `.qubits 2` program name q5, which a machine
+    # sized from the declared count lacks; the engine rejects the program
+    # before it runs, and so does `compare` with such a variant
+    message = "machine: program uses qubit q5, machine has 2"
+    prepared = PreparedProgram(parse_program(source), 8)
+    with pytest.raises(ValidationFault) as info:
+        Engine(prepared, MachineConfig())
+    assert str(info.value) == message
+    asm = tmp_path / "p.qasm"
+    asm.write_text(source)
+    base = tmp_path / "base.json"
+    base.write_text(MachineConfig(qpu=QpuConfig(qubit_count=8)).to_json())
+    variant = tmp_path / "variant.json"
+    variant.write_text(MachineConfig().to_json())
+    assert cli.main(["compare", str(asm), "--base", str(base), "--variant",
+                     str(variant)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("gate, qubits, message", [
     (Gate.H, (0, 1), "H takes one qubit, got q0, q1"),
     (Gate.RX, (), "RX takes one qubit, got none"),
