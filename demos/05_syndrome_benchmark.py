@@ -16,7 +16,7 @@ print(f"program: {len(program.instructions)} instructions "
       f"{len({b.priority for b in program.block_directives})} priority levels")
 
 spec = ExperimentSpec(program, repetitions=200, bias=0.1)
-base_cfg = MachineConfig(collect_steps=False)
+base_cfg = MachineConfig()
 
 means = {}
 for cores in (1, 2, 4, 6):

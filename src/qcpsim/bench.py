@@ -334,7 +334,9 @@ def run_experiment(spec: ExperimentSpec, config: MachineConfig) -> RunReport:
 
     The report carries the first repetition's full step breakdown; with more
     than one repetition the execution-time distribution is summarized in
-    `extras`. A `PreparedProgram` in the spec is used as it is.
+    `extras`. A `PreparedProgram` in the spec is used as it is. It sets
+    `collect_steps` itself, on for the first repetition and off for the
+    rest, whatever `config` says.
     """
     prepared = prepare(spec.program, config)
     phash = prepared.program_hash
@@ -371,8 +373,11 @@ def _percentile(ordered: list[int], p: int) -> float:
 
 def compare_runs(spec: ExperimentSpec, base: MachineConfig,
                  variant: MachineConfig) -> tuple[RunReport, RunReport]:
-    base_report = run_experiment(spec, base)
-    var_report = run_experiment(spec, variant)
+    # both machines are checked before either side runs
+    base_spec = replace(spec, program=prepare(spec.program, base))
+    var_spec = replace(spec, program=prepare(spec.program, variant))
+    base_report = run_experiment(base_spec, base)
+    var_report = run_experiment(var_spec, variant)
     ratio = (base_report.extras["exec_ns_mean"]
              / var_report.extras["exec_ns_mean"])
     var_report.speedup_vs_base = ratio

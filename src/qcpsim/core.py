@@ -182,9 +182,8 @@ class Core:
         "anchor", "injected", "mrce_contexts", "scoreboard", "ctx_pause",
         "_ctx_resolving", "_ctx_pot", "redirect_penalty", "fmr_wait",
         "fb_mode", "pot_c", "pot_s", "pot_f",
-        "exec_start_cycle", "attributed", "result_wait_cycles",
-        "drain_cycles", "stall_reason", "last_seen", "next_pop_ns",
-        "next_call", "clash", "late_results",
+        "exec_start_cycle", "attributed", "stall_reason", "last_seen",
+        "next_pop_ns", "next_call", "clash", "late_results",
     )
 
     def __init__(self, core_id: int, engine, width: int):
@@ -234,7 +233,7 @@ class Core:
         self._ctx_pot = 0
 
         self.redirect_penalty = 0
-        self.fmr_wait: tuple | None = None   # (result_reg, rd, start_cycle)
+        self.fmr_wait: tuple | None = None   # a stalled FMR's (result_reg, rd)
         self.fb_mode = False
 
         # attribution pot: cycles waiting to be claimed by the next timing point
@@ -243,8 +242,6 @@ class Core:
         self.pot_f = 0
         self.exec_start_cycle = 0
         self.attributed = 0
-        self.result_wait_cycles = 0
-        self.drain_cycles = 0
         self.stall_reason: str | None = None
         self.last_seen = -1
         self.next_pop_ns = NEVER
@@ -293,8 +290,6 @@ class Core:
         self.pot_c = self.pot_s = self.pot_f = 0
         self.exec_start_cycle = start_cycle
         self.attributed = 0
-        self.result_wait_cycles = 0
-        self.drain_cycles = 0
         self.stall_reason = None
         self.last_seen = start_cycle - 1
         self.next_pop_ns = NEVER
@@ -315,14 +310,15 @@ class Core:
             return None
 
         # cycles skipped while this core slept keep their meaning: a wait
-        # for a result it cannot influence, or the drain of issued work
+        # for a result, an FMR wait among them, or the drain of issued work
         gap = cycle - self.last_seen - 1
-        if gap > 0 and self.fmr_wait is None:
+        if gap > 0:
             self.attributed += gap
-            if self.stream_ended and not self.pending:
-                self.drain_cycles += gap
+            if (self.stream_ended and not self.pending
+                    and self.fmr_wait is None):
+                self.engine.drain_total += gap
             else:
-                self.result_wait_cycles += gap
+                self.engine.result_wait_total += gap
         self.last_seen = cycle
 
         now_ns = cycle * self.clock
@@ -334,7 +330,6 @@ class Core:
             self.ctx_pause -= 1
             self.attributed += 1
             self._ctx_pot += 1
-            self._bump_waits()
             if self.ctx_pause == 0:
                 self._finish_context_switch(cycle)
         elif self.redirect_penalty > 0:
@@ -345,7 +340,7 @@ class Core:
             else:
                 self.pot_s += 1
         elif self.fmr_wait is not None:
-            self._check_fmr(cycle, now_ns)
+            self._check_fmr(now_ns)
         else:
             extra = self._dispatch(cycle, now_ns)
             if extra:
@@ -377,13 +372,6 @@ class Core:
         if self.fmr_wait is not None and self.pop_idx < len(self.entries):
             self._drain(cycle)
         return self._queue_wake(cycle)
-
-    def _bump_waits(self) -> None:
-        # a context switch consumed this cycle; keep a concurrent result
-        # wait from double-counting it
-        if self.fmr_wait is not None:
-            reg, rd, start = self.fmr_wait
-            self.fmr_wait = (reg, rd, start + 1)
 
     # ── conditional-execution contexts ─────────────────────────────
 
@@ -425,20 +413,18 @@ class Core:
 
     # ── classical stall handling ───────────────────────────────────
 
-    def _check_fmr(self, cycle: int, now_ns: int) -> None:
-        reg, rd, start = self.fmr_wait
+    def _check_fmr(self, now_ns: int) -> None:
+        reg, rd = self.fmr_wait
         value, ready, _ = self.engine.result_file[reg]
+        self.attributed += 1
         if ready <= now_ns:
-            waited = cycle - start
-            self.result_wait_cycles += waited
-            self.attributed += waited
             self._write_reg(rd, value)
             self.fmr_wait = None
             self.fb_mode = True
             self.pot_f += 1          # the latch cycle starts the conditional work
-            self.attributed += 1
             self.stall_reason = None
         else:
+            self.engine.result_wait_total += 1
             # `_queue_wake` wakes the core when the register becomes ready
             self.stall_reason = "result wait"
 
@@ -461,7 +447,7 @@ class Core:
             if pc >= end:
                 self.stream_ended = True
         if not pending:
-            self.drain_cycles += 1
+            self.engine.drain_total += 1
             self.attributed += 1
             return 0
 
@@ -724,7 +710,7 @@ class Core:
             # head of queue is held back: a conditional-execution dependence
             # or a result read behind its producing measurement
             self.attributed += 1
-            self.result_wait_cycles += 1
+            self.engine.result_wait_total += 1
             self.stall_reason = "scoreboard" if blocked else "result wait"
             self._close_point(cycle)
         return 0
@@ -834,7 +820,10 @@ class Core:
                 self._write_reg(item[2], value)
                 self.fb_mode = True
                 return False, False
-            self.fmr_wait = (reg, item[2], cycle)
+            # the stall's cycle is the wait's first
+            self.fmr_wait = (reg, item[2])
+            self.attributed += 1
+            self.engine.result_wait_total += 1
             self.stall_reason = "result wait"
             # the stalled pipeline cannot extend the newest timing point;
             # release it or its own measurement could never issue
@@ -998,9 +987,9 @@ class Core:
         drained measurement may set.
 
         The last point of an ended stream stays queued, so the block ends
-        in the call that issues it; the gap before that call charges the
-        cycles between as drain cycles. An FMR wait charges its cycles when
-        it resolves."""
+        in the call that issues it. The gap before the core's next call
+        charges the cycles between once: as result-wait cycles in an FMR
+        wait, as drain cycles otherwise."""
         if (self.mrce_contexts or self.ctx_pause or self.redirect_penalty
                 or self.injected):
             return
@@ -1108,8 +1097,6 @@ class Core:
             raise SimulatorBug(
                 f"cycle attribution gap on core {self.core_id} block "
                 f"{self.executing}: {self.attributed} classified of {span}")
-        self.engine.result_wait_total += self.result_wait_cycles
-        self.engine.drain_total += self.drain_cycles
         self.finished_block = self.executing
         self.executing = None
         self.entries.clear()

@@ -194,10 +194,22 @@ def block_clashes(items, table: BlockInfoTable) -> tuple[int, ...]:
 def prepare(program: Program | PreparedProgram,
             config: MachineConfig) -> PreparedProgram:
     """The program prepared for `config`'s qubit budget; one already
-    prepared is returned as it is."""
-    if isinstance(program, PreparedProgram):
-        return program
-    return PreparedProgram(program, config.qpu.qubit_count or None)
+    prepared is returned as it is. Either way a machine that lacks a qubit
+    the program uses is a `ValidationFault` here, before anything runs."""
+    if not isinstance(program, PreparedProgram):
+        program = PreparedProgram(program, config.qpu.qubit_count or None)
+    qubit_count = config.qpu.qubit_count or program.qubit_count
+    if program.qubit_count > qubit_count:
+        raise ValidationFault([Diagnostic(
+            "machine", f"program uses {program.qubit_count} qubits, "
+            f"machine has {qubit_count}")])
+    if (program.qubit_budget > qubit_count
+            and program.qubits_used > qubit_count):
+        # validation checked the qubits against a larger budget
+        raise ValidationFault([Diagnostic(
+            "machine", f"program uses qubit q{program.qubits_used - 1}, "
+            f"machine has {qubit_count}")])
+    return program
 
 
 class Engine:
@@ -225,16 +237,6 @@ class Engine:
             if config.cores > 1 and len(table) > 1 else None)
 
         qubit_count = config.qpu.qubit_count or program.qubit_count
-        if program.qubit_count > qubit_count:
-            raise ValidationFault([Diagnostic(
-                "machine", f"program uses {program.qubit_count} qubits, "
-                f"machine has {qubit_count}")])
-        if (program.qubit_budget > qubit_count
-                and program.qubits_used > qubit_count):
-            # validation checked the qubits against a larger budget
-            raise ValidationFault([Diagnostic(
-                "machine", f"program uses qubit q{program.qubits_used - 1}, "
-                f"machine has {qubit_count}")])
         self.qpu = QpuState(config.qpu, max(qubit_count, 1), config.seed)
 
         # [value, ready_ns, dispatched measurements not yet issued]
@@ -246,7 +248,9 @@ class Engine:
         self.context_switches: list[int] = []
         self.result_wait_total = 0
         self.drain_total = 0
-        self.deadline = config.deadlock_timeout_cycles  # progress + timeout
+        # the watchdog checks after this cycle: `timeout` cycles past the
+        # later of the last progress and the newest issue's cycle
+        self.deadline = config.deadlock_timeout_cycles
 
         self.active_cores: list = []
         self.cores = [Core(i, self, config.superscalar_width)
@@ -332,7 +336,10 @@ class Engine:
             if qpu.event_count != seen_events or sched.done_count != seen_done:
                 seen_events = qpu.event_count
                 seen_done = sched.done_count
-                self.deadline = cycle + timeout
+                # the newest issue counts from the cycle the rule makes it
+                # in, later than the call of a core that ran ahead to it
+                last = -(-qpu.last_issue_ns // self.clock)
+                self.deadline = (last if last > cycle else cycle) + timeout
                 if seen_done == n_blocks:
                     cycle += 1
                     continue
@@ -342,18 +349,13 @@ class Engine:
                     f"deadlock: no runnable component at cycle {cycle} "
                     f"({sched.done_count}/{n_blocks} blocks done)")
             if cycle > self.deadline:
-                # the newest issue counts from the cycle the rule makes it
-                # in, later than the call of a core that ran ahead to it
-                deadline = -(-qpu.last_issue_ns // self.clock) + timeout
-                if cycle > deadline:
-                    # a wait that ends at a known time is not a deadlock,
-                    # however many of its cycles the engine visits
-                    if not any(core.progress_due() for core in active):
-                        raise RuntimeFault(
-                            f"deadlock: no progress for {timeout} cycles "
-                            f"(stalled at cycle {cycle})")
-                    deadline = cycle + timeout
-                self.deadline = deadline
+                # a wait that ends at a known time is not a deadlock,
+                # however many of its cycles the engine visits
+                if not any(core.progress_due() for core in active):
+                    raise RuntimeFault(
+                        f"deadlock: no progress for {timeout} cycles "
+                        f"(stalled at cycle {cycle})")
+                self.deadline = cycle + timeout
             cycle = min_wake if min_wake > cycle else cycle + 1
 
         if self.clash is not None:

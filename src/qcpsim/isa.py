@@ -701,14 +701,40 @@ def _qubit_list(qubits: tuple[int, ...]) -> str:
     return ", ".join(f"q{q}" for q in qubits) or "none"
 
 
+def _operand_errors(ins: Instruction, fmt: _Format, budget: int):
+    """The messages for the operands of a classical or MRCE instruction
+    that no word of its format can hold, or that the run path reads out of
+    range: a register outside r0-r31, a qubit outside the budget, an
+    immediate too wide, a branch condition or a conditional-execution
+    operand that does not exist."""
+    for field, syntax, _, width, _ in fmt.operands:
+        value = getattr(ins, field)
+        if syntax == _REG:
+            if not 0 <= value < REGISTER_COUNT:
+                yield f"register r{value} out of range ({REGISTER_COUNT})"
+        elif syntax == _QUBIT:
+            if not 0 <= value < budget:
+                yield f"qubit q{value} out of range ({budget})"
+        elif syntax == _IMM:
+            if not -(1 << width - 1) <= value < 1 << width - 1:
+                yield f"immediate {value} does not fit {width} bits"
+        elif syntax == _COND:
+            if not 0 <= value < len(BranchCond):
+                yield (f"branch condition {value} out of range "
+                       f"({len(BranchCond)})")
+        elif syntax == _GATE_NAME and value not in MRCE_OPS:
+            yield f"{Gate(value).name} is not a conditional-exec op"
+
+
 def validate_program(p: Program, qubit_budget: int | None = None) -> list[Diagnostic]:
     """Static checks; an empty list means the program is runnable.
 
-    Instructions are walked once. The walk reports qubit range errors and
-    quantum instructions whose gate has no quantum format (NOP) or whose
-    qubits do not fit their gate. It collects measurement producers plus the
-    pcs of branches and result readers, which the block and def-use checks
-    then visit on their own.
+    Instructions are walked once. The walk reports qubits and registers out
+    of range, quantum instructions whose gate has no quantum format (NOP) or
+    whose qubits do not fit their gate, and the operands of classical and
+    MRCE instructions that the run path cannot execute. It collects
+    measurement producers plus the pcs of branches and result readers, which
+    the block and def-use checks then visit on their own.
     """
     out: list[Diagnostic] = []
     instructions = p.instructions
@@ -723,19 +749,25 @@ def validate_program(p: Program, qubit_budget: int | None = None) -> list[Diagno
     quantum, classical, mrce = Kind.QUANTUM, Kind.CLASSICAL, Kind.MRCE
     meas, fmr, br, jmp = Gate.MEAS, ClassicalOp.FMR, ClassicalOp.BR, ClassicalOp.JMP
     formats, pairs = _GATE_FORMATS, _PAIR_GATES
+    mrce_format = _KIND_FORMATS[mrce]
     produced: set[int] = set()
     branches: list[int] = []
     readers: list[int] = []     # FMR and MRCE
     for pc, ins in enumerate(instructions):
         kind = ins.kind
         for q in ins.qubits:
-            if q >= budget:
+            if q >= budget or q < 0:
                 out.append(Diagnostic(_ins_where(pc, ins),
                                       f"qubit q{q} out of range ({budget})"))
         if kind == quantum:
             gate = ins.gate
             if gate == meas:
-                produced.add(ins.result_reg)
+                reg = ins.result_reg
+                produced.add(reg)
+                if not 0 <= reg < REGISTER_COUNT:
+                    out.append(Diagnostic(
+                        _ins_where(pc, ins),
+                        f"register r{reg} out of range ({REGISTER_COUNT})"))
             qubits = ins.qubits
             if gate not in formats:
                 out.append(Diagnostic(_ins_where(pc, ins),
@@ -752,18 +784,23 @@ def validate_program(p: Program, qubit_budget: int | None = None) -> list[Diagno
                     _ins_where(pc, ins),
                     f"{Gate(gate).name} takes one qubit, got "
                     f"{_qubit_list(qubits)}"))
-        elif kind == classical:
-            op = ins.classical_op
-            if op == br or op == jmp:
-                branches.append(pc)
-            elif op == fmr:
+        elif kind == classical or kind == mrce:
+            if kind == mrce:
+                fmt = mrce_format
                 readers.append(pc)
-        elif kind == mrce:
-            if ins.mrce_target >= budget:
-                out.append(Diagnostic(_ins_where(pc, ins),
-                                      f"qubit q{ins.mrce_target} out of range "
-                                      f"({budget})"))
-            readers.append(pc)
+            else:
+                op = ins.classical_op
+                fmt = _OP_FORMATS.get(op)
+                if fmt is None:
+                    out.append(Diagnostic(_ins_where(pc, ins),
+                                          f"classical op {op} does not exist"))
+                    continue
+                if op == br or op == jmp:
+                    branches.append(pc)
+                elif op == fmr:
+                    readers.append(pc)
+            for message in _operand_errors(ins, fmt, budget):
+                out.append(Diagnostic(_ins_where(pc, ins), message))
 
     # block geometry: in-range, ordered, disjoint, covering
     seen_names = set()
@@ -798,6 +835,14 @@ def validate_program(p: Program, qubit_budget: int | None = None) -> list[Diagno
         next_pc = max(next_pc, e + 1)
     if next_pc < len(instructions):
         out.append(Diagnostic(f"pc {next_pc}", "instruction not covered by any block"))
+
+    # one dependency style for every block, as the parser requires
+    direct = not blocks or blocks[0].priority is None
+    for d in blocks:
+        if ((d.priority is None) != direct
+                or d.priority is not None and d.deps is not None):
+            out.append(Diagnostic(_block_where(d),
+                                  "mixed deps/prio styles in one program"))
 
     # dependency names and acyclicity (direct representation)
     by_name = {d.name: d for d in blocks}

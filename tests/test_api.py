@@ -77,6 +77,61 @@ def test_no_unused_module_names():
     assert unused == []
 
 
+def _slots(cls: ast.ClassDef) -> tuple[str, ...]:
+    for node in cls.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__"
+                for t in node.targets):
+            return ast.literal_eval(node.value)
+    return ()
+
+
+def _attributes(cls: ast.ClassDef) -> set[str]:
+    """The attribute names a class defines: its slots, the names its body
+    binds, and those its methods assign on `self`."""
+    names = set(_slots(cls))
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names.add(node.target.id)
+    for node in ast.walk(cls):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"):
+            names.add(node.attr)
+    return names
+
+
+def test_no_unread_slots():
+    # every slot holds state that some code reads, not only writes. A slot
+    # whose name another class of the package also defines (a record's
+    # field, say) counts as read only in the module of its own class, so
+    # a read of the other class's attribute cannot stand in for it
+    loads: dict[str, set[str]] = {}     # attribute name -> modules loading it
+    classes = []        # (module, class, slots, attribute names)
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                loads.setdefault(node.attr, set()).add(path.stem)
+            elif isinstance(node, ast.ClassDef):
+                classes.append((path.stem, node.name, _slots(node),
+                                _attributes(node)))
+    unread = []
+    for stem, name, slots, _ in classes:
+        for slot in slots:
+            shared = any(slot in attributes
+                         for other_stem, other, _, attributes in classes
+                         if (other_stem, other) != (stem, name))
+            where = loads.get(slot, set())
+            if not (stem in where if shared else where):
+                unread.append(f"{stem}.{name}.{slot}")
+    assert classes
+    assert unread == []
+
+
 def _unread_imports(module: ast.Module) -> list[str]:
     """Names `module` imports but never reads; `__future__` imports are
     compiler directives, not names."""

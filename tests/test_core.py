@@ -244,6 +244,20 @@ def test_mrce_context_switch_cost_measured():
     assert trace.context_switches == [3]
 
 
+@pytest.mark.parametrize("bias", [0.0, 1.0])
+def test_context_switch_inside_an_fmr_wait_is_charged_once(bias):
+    # the FMR stalls on r1 while the context on r0 resolves: the switch's
+    # three cycles count once, as the switch's, not as result wait too, so
+    # the attribution check at the block's end holds
+    trace = run(_lines(".qubits 4", "0 MEAS q0 -> r0", "MRCE r0, q1, NOP, X",
+                       "5 MEAS q2 -> r1", "FMR r3, r1", "0 H q3", "END"),
+                bias=bias)
+    assert trace.total_cycles == 58
+    assert trace.result_wait_cycles == 46
+    assert trace.drain_cycles == 1
+    assert trace.context_switches == [3]
+
+
 def test_mrce_gates_proceed_during_wait():
     trace = run(gen_active_reset_plus_rb(20), bias=1.0)
     meas = next(e for e in trace.events if e.gate == "MEAS")

@@ -3,6 +3,7 @@ and hashes a program."""
 
 import json
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -13,10 +14,11 @@ from qcpsim.bench import (ExperimentSpec, gen_dense, gen_parallel_rus,
 from qcpsim.blocks import build_table
 from qcpsim.config import MachineConfig
 from qcpsim.engine import Engine, PreparedProgram, ValidationFault
-from qcpsim.isa import (MAX_BLOCKS, ClassicalOp, Diagnostic, Gate, Instruction,
-                        Kind, Program, decode_program, encode_program,
-                        parse_program, validate_program)
+from qcpsim.isa import (MAX_BLOCKS, BlockDirective, ClassicalOp, Diagnostic,
+                        Gate, Instruction, Kind, Program, decode_program,
+                        encode_program, parse_program, validate_program)
 from qcpsim.qpu import QpuConfig
+from test_bench import _count_engine_runs
 
 
 def _diags(text, budget=None, binary=False):
@@ -347,10 +349,12 @@ def test_machine_too_small_is_a_diagnostic():
     ".qubits 2\n0 H q0\n1 H q5\nEND\n",
     ".qubits 2\n0 MEAS q0 -> r0\nMRCE r0, q5, NOP, X\nEND\n"])
 def test_machine_without_a_used_qubit_is_a_diagnostic(source, tmp_path,
-                                                      capsys):
+                                                      capsys, monkeypatch):
     # a qubit budget lets a `.qubits 2` program name q5, which a machine
     # sized from the declared count lacks; the engine rejects the program
-    # before it runs, and so does `compare` with such a variant
+    # before it runs, and `compare` with such a variant before it runs the
+    # base
+    runs = _count_engine_runs(monkeypatch)
     message = "machine: program uses qubit q5, machine has 2"
     prepared = PreparedProgram(parse_program(source), 8)
     with pytest.raises(ValidationFault) as info:
@@ -365,6 +369,7 @@ def test_machine_without_a_used_qubit_is_a_diagnostic(source, tmp_path,
     assert cli.main(["compare", str(asm), "--base", str(base), "--variant",
                      str(variant)]) == cli.EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert runs == []
 
 
 @pytest.mark.parametrize("gate, qubits, message", [
@@ -387,3 +392,101 @@ def test_gate_arity_is_a_diagnostic(gate, qubits, message):
         f"pc 1: {message}", f"pc 2: {message}"]
     with pytest.raises(ValidationFault):
         PreparedProgram(p)
+
+
+def _mixed_styles(prio_first: bool) -> Program:
+    # the parser refuses a program that mixes the styles; an API-built one
+    # or its binary container does not
+    styles = [{"priority": 0}, {"deps": ()}]
+    if not prio_first:
+        styles.reverse()
+    body = [Instruction(Kind.QUANTUM, gate=Gate.H, qubits=(0,)),
+            Instruction(Kind.END_BLOCK),
+            Instruction(Kind.QUANTUM, gate=Gate.H, qubits=(1,)),
+            Instruction(Kind.END_BLOCK)]
+    return Program(body, [BlockDirective("a", 0, 1, **styles[0]),
+                          BlockDirective("b", 2, 3, **styles[1])], 2)
+
+
+@pytest.mark.parametrize("prio_first", [True, False])
+def test_mixed_block_styles_are_a_diagnostic(prio_first):
+    p = _mixed_styles(prio_first)
+    message = "mixed deps/prio styles in one program"
+    assert [str(d) for d in validate_program(p)] == [f"block b: {message}"]
+    binary = decode_program(encode_program(p))
+    assert [str(d) for d in validate_program(binary)] == [
+        f"block b: {message}"]
+    both = replace(p, block_directives=[
+        BlockDirective("a", 0, 1, deps=(), priority=0),
+        BlockDirective("b", 2, 3, deps=(), priority=0)])
+    assert [str(d) for d in validate_program(both)] == [
+        f"block a: {message}", f"block b: {message}"]
+
+
+def test_cli_run_mixed_style_binary_exits_1(tmp_path, capsys):
+    # at a priority block first, the run would compare a direct block's
+    # missing priority with an integer
+    path = tmp_path / "mixed.bin"
+    path.write_bytes(encode_program(_mixed_styles(True)))
+    assert cli.main(["run", str(path)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: block b: mixed deps/prio styles in one program\n")
+
+
+def _op(op, **fields):
+    return Instruction(Kind.CLASSICAL, classical_op=op, **fields)
+
+
+@pytest.mark.parametrize("bad, messages", [
+    # binary words hold these MRCE operands, and the run issued them
+    (Instruction(Kind.MRCE, result_reg=0, mrce_target=1, mrce_op0=Gate.CNOT,
+                 mrce_op1=Gate.MEAS),
+     ["CNOT is not a conditional-exec op",
+      "MEAS is not a conditional-exec op"]),
+    (Instruction(Kind.MRCE, result_reg=40, mrce_target=1),
+     ["register r40 out of range (32)",
+      "result register r40 never produced"]),
+    (Instruction(Kind.MRCE, result_reg=0, mrce_target=-1),
+     ["qubit q-1 out of range (2)"]),
+    (Instruction(Kind.QUANTUM, gate=Gate.MEAS, qubits=(1,), result_reg=33),
+     ["register r33 out of range (32)"]),
+    (Instruction(Kind.QUANTUM, gate=Gate.H, qubits=(-1,)),
+     ["qubit q-1 out of range (2)"]),
+    (Instruction(Kind.QUANTUM, gate=Gate.CZ, qubits=(-2, 1)),
+     ["qubit q-2 out of range (2)"]),
+    (_op(ClassicalOp.FMR, rd=32, result_reg=0),
+     ["register r32 out of range (32)"]),
+    (_op(ClassicalOp.ADD, rd=1, ra=-1, rb=99),
+     ["register r-1 out of range (32)", "register r99 out of range (32)"]),
+    (_op(ClassicalOp.CMP, ra=0, rb=-9), ["register r-9 out of range (32)"]),
+    (_op(ClassicalOp.BR, cond=9, target=0),
+     ["branch condition 9 out of range (6)"]),
+    (_op(ClassicalOp.BR, cond=-1, target=0),
+     ["branch condition -1 out of range (6)"]),
+    (_op(ClassicalOp.LDI, rd=1, imm=1 << 20),
+     ["immediate 1048576 does not fit 21 bits"]),
+    (_op(ClassicalOp.LDI, rd=1, imm=-(1 << 20) - 1),
+     ["immediate -1048577 does not fit 21 bits"]),
+    (_op(None), ["classical op None does not exist"]),
+])
+def test_operand_out_of_range_is_a_diagnostic(bad, messages):
+    # each runs wrongly or fails after the run when it is not caught here
+    p = Program([Instruction(Kind.QUANTUM, gate=Gate.MEAS, qubits=(0,)), bad,
+                 Instruction(Kind.END_BLOCK)], [], 2)
+    assert [str(d) for d in validate_program(p)] == [
+        f"pc 1: {m}" for m in messages]
+    with pytest.raises(ValidationFault):
+        PreparedProgram(p)
+
+
+def test_widest_operands_validate():
+    p = Program([Instruction(Kind.QUANTUM, gate=Gate.MEAS, qubits=(1,),
+                             result_reg=31),
+                 _op(ClassicalOp.LDI, rd=31, imm=(1 << 20) - 1),
+                 _op(ClassicalOp.LDI, rd=0, imm=-(1 << 20)),
+                 _op(ClassicalOp.BR, cond=5, target=0),
+                 Instruction(Kind.MRCE, result_reg=31, mrce_target=1,
+                             mrce_op0=Gate.H, mrce_op1=Gate.Z),
+                 Instruction(Kind.END_BLOCK)], [], 2)
+    assert validate_program(p) == []
+    assert decode_program(encode_program(p)) == p
