@@ -48,6 +48,13 @@ measurement writes its result only when it is the last producer in flight,
 so an older result never shows through a younger measurement. `NEVER` also
 marks a register no measurement has filled yet.
 
+A conditional-execution instruction whose result is not readable yet opens
+a context on its target qubit. `Core.contexts` is the one record of the
+open contexts, and its keys are the scoreboard: no quantum work on those
+qubits dispatches while they are open. `_resolve_contexts` resolves each
+one in full in the cycle its switch starts, charging the switch's pause
+then and queueing the chosen operation for the pause's last cycle.
+
 The simulation collapses the pipeline stages into one pass per cycle;
 pipeline depth appears as a constant offset on issue readiness, never as
 extra dispatch cycles, so steady-state cycle counts are stage-exact.
@@ -159,17 +166,6 @@ class StepRecord(NamedTuple):
                 + self.cycles_stall + self.cycles_feedback)
 
 
-class _MrceContext:
-    __slots__ = ("result_reg", "target", "op0", "op1", "anchor_ns")
-
-    def __init__(self, result_reg, target, op0, op1, anchor_ns):
-        self.result_reg = result_reg
-        self.target = target
-        self.op0 = op0
-        self.op1 = op1
-        self.anchor_ns = anchor_ns
-
-
 class Core:
     """One processor, stepped by the engine one call per active cycle."""
 
@@ -179,9 +175,8 @@ class Core:
         "slots", "slot_loaded", "switch_until", "switch_args", "executing",
         "finished_block", "pc", "pc_end", "stream_ended", "pending",
         "entries", "pop_idx", "open_entry", "chain_sched", "prev_actual",
-        "anchor", "injected", "mrce_contexts", "scoreboard", "ctx_pause",
-        "_ctx_resolving", "_ctx_pot", "redirect_penalty", "fmr_wait",
-        "fb_mode", "pot_c", "pot_s", "pot_f",
+        "anchor", "injected", "contexts", "ctx_pause", "redirect_penalty",
+        "fmr_wait", "fb_mode", "pot_c", "pot_s", "pot_f",
         "exec_start_cycle", "attributed", "stall_reason", "last_seen",
         "next_pop_ns", "next_call", "clash", "late_results",
     )
@@ -226,11 +221,10 @@ class Core:
         # (earliest_issue_ns, sched, one-op point, charged_cycles)
         self.injected: list[tuple] = []
 
-        self.mrce_contexts: list[_MrceContext] = []
-        self.scoreboard: set[int] = set()
+        # open conditional contexts, oldest first: target qubit ->
+        # (decoded MRCE item, anchor_ns); the keys are the scoreboard
+        self.contexts: dict[int, tuple] = {}
         self.ctx_pause = 0
-        self._ctx_resolving: tuple | None = None
-        self._ctx_pot = 0
 
         self.redirect_penalty = 0
         self.fmr_wait: tuple | None = None   # a stalled FMR's (result_reg, rd)
@@ -324,14 +318,11 @@ class Core:
         now_ns = cycle * self.clock
         eff = cycle
 
-        if self.mrce_contexts and not self.ctx_pause:
+        if self.contexts and not self.ctx_pause:
             self._resolve_contexts(cycle, now_ns)
         if self.ctx_pause > 0:
             self.ctx_pause -= 1
             self.attributed += 1
-            self._ctx_pot += 1
-            if self.ctx_pause == 0:
-                self._finish_context_switch(cycle)
         elif self.redirect_penalty > 0:
             self.redirect_penalty -= 1
             self.attributed += 1
@@ -377,39 +368,33 @@ class Core:
 
     def _resolve_contexts(self, cycle: int, now_ns: int) -> None:
         """Switch to the open contexts whose results are readable, oldest
-        first. A free switch completes at once and leaves the cycle to
-        dispatch; the first paid one pauses the core for `ctx_cycles`
-        cycles, this one included."""
+        first, each resolved in full in the cycle its switch starts. A free
+        switch leaves the cycle to dispatch; the first paid one pauses the
+        core for `ctx_cycles` cycles, this one included. The pause's cycles
+        are charged now: to the conditional op, queued for the pause's last
+        cycle, or to the next timing point's feedback cycles when the op is
+        NOP. Nothing dispatches in the pause, so nothing can see that they
+        were charged early."""
         rf = self.engine.result_file
-        contexts = self.mrce_contexts
-        i = 0
-        while i < len(contexts):
-            ctx = contexts[i]
-            value, ready, _ = rf[ctx.result_reg]
+        contexts = self.contexts
+        pause = self.ctx_cycles
+        for target, (item, anchor) in list(contexts.items()):
+            value, ready, _ = rf[item[1]]
             if ready > now_ns:
-                i += 1
                 continue
-            del contexts[i]
-            self._ctx_resolving = (ctx, value, ready)
-            self.engine.context_switches.append(self.ctx_cycles)
-            if self.ctx_cycles:
-                self.ctx_pause = self.ctx_cycles
+            del contexts[target]
+            self.engine.context_switches.append(pause)
+            # the freed qubit may let a held-back head dispatch
+            self.stall_reason = None
+            op = item[4] if value else item[3]
+            if op is None:
+                self.pot_f += pause
+            else:
+                end = cycle + pause - 1 if pause else cycle
+                self._inject(max(ready, anchor), op, target, end, pause)
+            if pause:
+                self.ctx_pause = pause
                 return
-            self._finish_context_switch(cycle)
-
-    def _finish_context_switch(self, cycle: int) -> None:
-        ctx, value, ready = self._ctx_resolving
-        self._ctx_resolving = None
-        self.scoreboard.discard(ctx.target)
-        # the freed qubit may let a held-back head dispatch next cycle
-        self.stall_reason = None
-        op = ctx.op1 if value else ctx.op0
-        pot = self._ctx_pot
-        self._ctx_pot = 0
-        if op is None:
-            self.pot_f += pot
-            return
-        self._inject(max(ready, ctx.anchor_ns), op, ctx.target, cycle, pot)
 
     # ── classical stall handling ───────────────────────────────────
 
@@ -458,15 +443,17 @@ class Core:
             if len(pending) == 1 or pending[1][0] != K_QUANTUM:
                 return self._dispatch_classical_alone(cycle, now_ns)
             return self._dispatch_picked(0, 0, cycle, now_ns)
-        if not self.scoreboard:
+        if not self.contexts:
             for item in pending:
                 if item[0] != K_QUANTUM:
                     break
             else:
                 return self._dispatch_quantum(cycle)
-        elif all(item[0] == K_QUANTUM and self.scoreboard.isdisjoint(item[3])
-                 for item in pending):
-            return self._dispatch_quantum(cycle)
+        else:
+            busy = self.contexts.keys()
+            if all(item[0] == K_QUANTUM and busy.isdisjoint(item[3])
+                   for item in pending):
+                return self._dispatch_quantum(cycle)
         return self._dispatch_picked(*self._pick_classical(pending, now_ns),
                                      cycle, now_ns)
 
@@ -504,20 +491,21 @@ class Core:
         # the cycles after `x` it may run
         left = self._horizon(cycle) - cycle
         wall = end      # the first stream item the call must not fetch
-        scoreboard = self.scoreboard
-        if scoreboard:
+        contexts = self.contexts
+        if contexts:
             # an open context: end before `_resolve_contexts` takes it,
             # or at `cycle` while its measurement may still issue in the run,
             # and fetch no classical item or item on its qubit
             rf = self.engine.result_file
-            for ctx in self.mrce_contexts:
-                ready = rf[ctx.result_reg][1]
+            for item, _ in contexts.values():
+                ready = rf[item[1]][1]
                 left = min(left, 0 if ready == NEVER
                            else -(-ready // self.clock) - 1 - cycle)
+            busy = contexts.keys()
             wall = self.pc
             stop = min(end, wall + (left + 1) * width)
             while (wall < stop and not items[wall][0]
-                   and scoreboard.isdisjoint(items[wall][3])):
+                   and busy.isdisjoint(items[wall][3])):
                 wall += 1
         while True:
             held = len(pending)
@@ -662,7 +650,7 @@ class Core:
 
         group: list[int] = []
         blocked = False
-        scoreboard = self.scoreboard
+        busy = self.contexts.keys() if self.contexts else None
         for i in range(cut):
             if i == cl_idx:
                 if group:
@@ -673,7 +661,7 @@ class Core:
                 break
             if group and item[1] != 0:
                 break
-            if scoreboard and not scoreboard.isdisjoint(item[3]):
+            if busy is not None and not busy.isdisjoint(item[3]):
                 blocked = True
                 break
             group.append(i)
@@ -759,7 +747,7 @@ class Core:
                         return -1, i
             elif k == K_MRCE:
                 if (self._older_meas(pending, i, item[1])
-                        or item[2] in self.scoreboard):
+                        or item[2] in self.contexts):
                     return -1, i
             return i, i
         return -1, len(pending)
@@ -832,8 +820,10 @@ class Core:
         if op <= _OP_CMP:
             regs = self.regs
             ra, rb = item[3], item[4]
-            a = regs[ra] if ra < SHARED_REG_BASE else self._read_reg(ra)
-            b = regs[rb] if rb < SHARED_REG_BASE else self._read_reg(rb)
+            a = (regs[ra] if ra < SHARED_REG_BASE
+                 else self.engine.shared_regs[ra - SHARED_REG_BASE])
+            b = (regs[rb] if rb < SHARED_REG_BASE
+                 else self.engine.shared_regs[rb - SHARED_REG_BASE])
             if op == _OP_CMP:
                 self.flag_eq = a == b
                 self.flag_lt = a < b
@@ -892,9 +882,7 @@ class Core:
                 return max(ready, anchor), op, target
             self.fb_mode = True
             return None
-        self.mrce_contexts.append(
-            _MrceContext(reg, target, item[3], item[4], anchor))
-        self.scoreboard.add(target)
+        self.contexts[target] = (item, anchor)
         return None
 
     def _write_reg(self, idx: int, value: int) -> None:
@@ -902,11 +890,6 @@ class Core:
             self.regs[idx] = value
         else:
             self.engine.shared_regs[idx - SHARED_REG_BASE] = value
-
-    def _read_reg(self, idx: int) -> int:
-        if idx < SHARED_REG_BASE:
-            return self.regs[idx]
-        return self.engine.shared_regs[idx - SHARED_REG_BASE]
 
     # ── timing controller ──────────────────────────────────────────
     #
@@ -927,8 +910,9 @@ class Core:
 
     def _inject(self, sched: int, gate: str, qubit: int, cycle: int,
                 charged: int) -> None:
-        """Queue a conditional op dispatched at `cycle`; `charged` is the
-        cycle count its step record claims."""
+        """Queue a conditional op dispatched at `cycle`, the last cycle of
+        its context switch's pause when it has one; `charged` is the cycle
+        count its step record claims."""
         earliest = cycle * self.clock + self.depth_offset
         if sched > earliest:
             earliest = sched
@@ -990,7 +974,7 @@ class Core:
         in the call that issues it. The gap before the core's next call
         charges the cycles between once: as result-wait cycles in an FMR
         wait, as drain cycles otherwise."""
-        if (self.mrce_contexts or self.ctx_pause or self.redirect_penalty
+        if (self.contexts or self.ctx_pause or self.redirect_penalty
                 or self.injected):
             return
         clock = self.clock
@@ -1085,9 +1069,8 @@ class Core:
         self._close_point(cycle)
         # completion waits out any stall in progress, and deliberately waits
         # for open contexts to resolve
-        if (self.fmr_wait is not None or self.ctx_pause
-                or self.mrce_contexts or self.redirect_penalty
-                or self._ctx_resolving is not None):
+        if (self.fmr_wait is not None or self.ctx_pause or self.contexts
+                or self.redirect_penalty):
             return False
         return self.pop_idx >= len(self.entries) and not self.injected
 
@@ -1101,7 +1084,6 @@ class Core:
         self.executing = None
         self.entries.clear()
         self.pop_idx = 0
-        self.scoreboard.clear()
 
     # ── wake hinting for the event-skipping engine ─────────────────
 
@@ -1116,23 +1098,26 @@ class Core:
         rf = self.engine.result_file
         if self.fmr_wait is not None and rf[self.fmr_wait[0]][1] < NEVER:
             return True
-        return any(rf[ctx.result_reg][1] < NEVER for ctx in self.mrce_contexts)
+        return any(rf[item[1]][1] < NEVER
+                   for item, _ in self.contexts.values())
 
     def _queue_wake(self, cycle: int) -> int | None:
         """The next cycle anything this stalled or draining core waits on can
         change: a queued issue, or a result register it reads becoming
-        ready. None asks for the next cycle.
+        ready, and no later than the deadlock watchdog's next check, so the
+        watchdog looks at the same cycles on every wake schedule. None asks
+        for the next cycle.
 
         A waited register with no ready time polls, each cycle, only if it
         is in the block's clash mask (`Engine.clash`). Any other is filled,
         if at all, by one of this core's own issues, so the wait lasts
-        until the next of them; with none queued, only the deadlock
-        watchdog's next check can change anything."""
+        until the next of them; with none queued, only the watchdog's check
+        can change anything."""
         if self.ctx_pause or self.redirect_penalty:
             return None
         rf = self.engine.result_file
         clash = self.clash
-        waits = [ctx.result_reg for ctx in self.mrce_contexts]
+        waits = [item[1] for item, _ in self.contexts.values()]
         if self.fmr_wait is not None:
             waits.append(self.fmr_wait[0])
         # an FMR held behind quantum work until its register is ready
@@ -1145,8 +1130,8 @@ class Core:
                 best = ready
             elif ready == NEVER and clash >> reg & 1:
                 return None
-        if best == NEVER:
-            best = self.engine.deadline + 1
-        else:
-            best = -(-best // self.clock)
+        best = -(-best // self.clock)
+        check = self.engine.deadline + 1
+        if best > check:
+            best = check
         return best if best > cycle else cycle + 1

@@ -241,8 +241,15 @@ class Instruction:
     def is_classical(self) -> bool:
         return self.kind == Kind.CLASSICAL
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{format_instruction(self)}>"
+    def __repr__(self) -> str:
+        try:
+            return f"<{format_instruction(self)}>"
+        except (LookupError, TypeError, ValueError):
+            # an instruction validation rejects may have no assembly form
+            # (no format row, or a value outside its enum); show its fields
+            values = ", ".join(f"{f.name}={getattr(self, f.name)!r}"
+                               for f in fields(self))
+            return f"<Instruction {values}>"
 
 
 @dataclass(eq=True, slots=True)

@@ -187,6 +187,8 @@ class Scheduler:
         self.dirty = True
 
     def tick(self, now: int) -> None:
+        """One scheduler step. The engine calls it only while `dirty` is
+        set or when a transfer lands, and a landing sets `dirty`."""
         if self.transfer is not None and self.transfer[4] <= now:
             kind, b, c, slot, finish = self.transfer
             self.transfer = None
@@ -198,9 +200,6 @@ class Scheduler:
                                  self.table.entries[b].pc_end)
                 self._record(now, "start", b, c)
             self.dirty = True
-
-        if not self.dirty:
-            return
 
         # activate prefetched blocks whose dependencies cleared; a core that
         # a cold allocation is loading is already taken

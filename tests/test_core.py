@@ -584,6 +584,19 @@ LONG_WAIT = (parse_program(WAKE_PROBES["long_wait_for_queued_point"][0]),
              108)
 HANG = (parse_program("FMR r1, r0\n0 MEAS q0 -> r0\n"),
         "deadlock: no progress for 50 cycles (stalled at cycle 51)")
+# waits longer than the timeout that end at a known time, with their total
+# cycles: an FMR whose register is ready only at cycle 49, past several of
+# the watchdog's checks, and an active reset whose 20-cycle switch pauses
+# the core with its conditional X queued
+KNOWN_WAITS = [
+    (parse_program(_lines(".qubits 2", "0 MEAS q0 -> r0", "FMR r1, r0",
+                          "0 H q1", "END")),
+     MachineConfig(deadlock_timeout_cycles=5), 53),
+    (parse_program(_lines(".qubits 2", "0 MEAS q0 -> r0",
+                          "MRCE r0, q1, NOP, X", "0 H q0", "END")),
+     MachineConfig(ctx_switch_cycles=20, deadlock_timeout_cycles=10,
+                   qpu=QpuConfig(outcome_bias=1.0)), 71),
+]
 
 
 def test_deadlock_verdict_does_not_depend_on_the_wake_schedule():
@@ -593,6 +606,35 @@ def test_deadlock_verdict_does_not_depend_on_the_wake_schedule():
     cfg = MachineConfig(deadlock_timeout_cycles=50)
     for program, verdict in (LONG_WAIT, HANG):
         assert _verdicts(program, cfg) == {verdict}
+    for program, cfg, verdict in KNOWN_WAITS:
+        assert _verdicts(program, cfg) == {verdict}
+
+
+def _short_timeout_configs():
+    # at bias 1 the repeat-until-success loops never end
+    programs = [(gen_feedforward(), (0.0, 1.0)),
+                (gen_active_reset_plus_rb(10, mrce=False), (0.0, 1.0)),
+                (gen_active_reset_plus_rb(10, mrce=True), (0.0, 1.0)),
+                (gen_parallel_rus(2), (0.0, 0.5))]
+    return [(program, MachineConfig(
+                cores=cores, ctx_switch_cycles=ctx,
+                deadlock_timeout_cycles=timeout,
+                qpu=QpuConfig(outcome_bias=bias)))
+            for program, biases in programs
+            for timeout in (1, 2, 3, 5, 10, 20, 44, 45, 46, 50)
+            for ctx in (0, 3, 20) for cores in (1, 2) for bias in biases]
+
+
+def test_deadlock_verdicts_agree_at_short_timeouts():
+    # timeouts shorter than, near and past a measurement's latency, with
+    # context switches that pause a core longer than some of them: every
+    # run gives one verdict on every path, and some of them fault
+    kinds = Counter()
+    for program, cfg in _short_timeout_configs():
+        verdicts = _verdicts(program, cfg)
+        assert len(verdicts) == 1, (cfg, verdicts)
+        kinds[type(verdicts.pop())] += 1
+    assert kinds[int] and kinds[str]
 
 
 # one timing point of 400 operations: no issue for 400 cycles at width 1
@@ -834,7 +876,8 @@ def _join_configs():
                 for tail in (["LDI r1, 1", "0 H q0", "0 H q1", "END"], ["END"])
                 for width in (1, 2, 4, 8)]
     return configs + FMR_BEFORE_CONDITIONAL + [
-        ZERO_LATENCY, SELF_COLLIDING_BLOCKS, CONTEXT_QUBIT_RUN]
+        ZERO_LATENCY, SELF_COLLIDING_BLOCKS, CONTEXT_QUBIT_RUN,
+        CONTEXT_BOUND_RUN]
 
 
 # with no readout latency, the measurement an FMR waits for is readable
@@ -862,6 +905,13 @@ FMR_BEFORE_CONDITIONAL = [(parse_program(_lines(
 CONTEXT_QUBIT_RUN = (parse_program(_lines(
     ".qubits 4", "0 MEAS q3 -> r0", "0 H q0", "MRCE r0, q0, NOP, NOP",
     "0 H q1", *["0 H q0"] * 6, "END")), MachineConfig(pipeline_depth=1))
+
+
+# a run beside the open context on q1 that lasts past the cycle its switch
+# starts in: the run must end in the cycle before, where the rule pauses
+CONTEXT_BOUND_RUN = (parse_program(_lines(
+    ".qubits 3", "0 MEAS q0 -> r0", "MRCE r0, q1, NOP, X", "1 H q2",
+    *["0 H q2"] * 45, "END")), MachineConfig(qpu=QpuConfig(outcome_bias=1.0)))
 
 
 # two independent blocks whose every point collides with itself: the
@@ -973,7 +1023,7 @@ def _observe(patch, seen):
             seen["run past a prefetch landing"] += 1
         if bound and cycle + extra == last and _quantum_next(core):
             seen["run stopped while a block can start"] += 1
-        if extra and core.mrce_contexts:
+        if extra and core.contexts:
             seen["run beside an open context"] += 1
         return extra
 
@@ -1012,7 +1062,8 @@ def _deadlock_configs():
                 superscalar_width=width, deadlock_timeout_cycles=300))
                for source, width, _ in LONG_POINTS]
             + [(program, RUN_AHEAD_CONFIG)
-               for program, _ in RUN_AHEAD_DEADLOCKS])
+               for program, _ in RUN_AHEAD_DEADLOCKS]
+            + [(program, cfg) for program, cfg, _ in KNOWN_WAITS])
 
 
 # the inputs each optimization runs on, by name

@@ -228,6 +228,19 @@ def test_print_program_reads_plain_int_fields():
     assert print_program(ints) == print_program(enums)
 
 
+@pytest.mark.parametrize("bad, shown", [
+    (Instruction(Kind.CLASSICAL, classical_op=ClassicalOp.BR, cond=9),
+     "cond=9"),
+    (Instruction(Kind.CLASSICAL, classical_op=None), "classical_op=None"),
+])
+def test_repr_shows_an_instruction_validation_rejects(bad, shown):
+    # a failing assertion must be able to show the instruction it is about,
+    # though it has no assembly form; a valid one still shows as assembly
+    assert shown in repr(bad)
+    assert repr(Instruction(Kind.QUANTUM, gate=Gate.H, qubits=(1,))) == (
+        "<0 H q1>")
+
+
 def _all_fields(record) -> tuple:
     # every field, `src_line` too, which `==` leaves out
     return tuple(getattr(record, f.name) for f in dataclasses.fields(record))
