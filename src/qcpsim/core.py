@@ -21,21 +21,26 @@ cycle's classical instruction, if any, and `_dispatch_picked` dispatches it
 with the quantum group beside it. `_dispatch_classical_alone` and
 `_dispatch_quantum` are fast paths of that rule for a buffer with nothing to
 choose: a classical head with no quantum follower, and quantum work alone.
-`_dispatch_quantum` may run several cycles in one call, but only cycles the
-rule would spend the same way, and only up to `_horizon`, before which
-nothing else can see that the cycles ran early. The other cores bound that
-horizon at their next calls, unless this core's block is independent: no
-block that may run beside it touches its qubits or registers. The scheduler
-bounds it only while one of its ticks could start a block; ticks that can
-only start or land prefetches run beside the call. Its loop dispatches one
-whole timing point per step, with the number of cycles the rule spends on
-it. Refills top the buffer up one issue width at a time, so each of those
-cycles takes the point's next issue width of instructions, and the count is
-arithmetic. The fast path also runs beside an open conditional context, up
-to the cycle before it resolves. `_drain` issues in one call the queued
-points of an ended stream, or of a core stalled on an FMR up to the cycle
-before the read can resolve, that fall due up to the horizon, which never
-passes the engine's next deadlock-watchdog check. The `OPTIMIZATIONS`
+Both may run several cycles in one call, but only cycles the rule would
+spend the same way, and only up to `_horizon`, before which nothing else
+can see that the cycles ran early. The other cores bound that horizon at
+their next calls, unless this core's block is independent: no block that
+may run beside it touches its qubits or registers. The scheduler bounds it
+only while one of its ticks could start a block; ticks that can only start
+or land prefetches run beside the call. `_dispatch_quantum`'s loop
+dispatches one whole timing point per step, with the number of cycles the
+rule spends on it. Refills top the buffer up one issue width at a time, so
+each of those cycles takes the point's next issue width of instructions,
+and the count is arithmetic. It also runs beside an open conditional
+context, up to the cycle before it resolves. At width 1,
+`_dispatch_classical_alone` goes on to retire the classical instructions
+after the head, one per cycle, and counts each taken branch's dead cycles
+at once. Its run ends before a quantum item, an MRCE, the stream's last
+item or an FMR whose register is not readable yet, and no later than the
+cycle the next queued issue falls due in. `_drain` issues in one call the
+queued points of an ended stream, or of a core stalled on an FMR up to the
+cycle before the read can resolve, that fall due up to the horizon, which
+never passes the engine's next deadlock-watchdog check. The `OPTIMIZATIONS`
 table in `tests/test_core.py` lists both fast paths, the engine's event
 skipping and this run-ahead, each with the replacement that turns it off;
 every row runs on every input set and must change no output.
@@ -257,7 +262,8 @@ class Core:
         self._check_idle(block)
         self.switch_until = start_cycle
         self.switch_args = (block, slot, start_cycle, pc_start, pc_end)
-        self.next_call = 0
+        # the core is first called in the cycle its switch ends
+        self.next_call = start_cycle
         self.engine.activate(self)
 
     def start_block(self, block: int, slot: int, start_cycle: int,
@@ -705,7 +711,20 @@ class Core:
 
     def _dispatch_classical_alone(self, cycle: int, now_ns: int) -> int:
         """`_dispatch_picked(0, 0, ...)` for a classical head with no
-        quantum follower: the cycle is the classical instruction's alone."""
+        quantum follower: the cycle is the classical instruction's alone.
+
+        At width 1, with no context open, it goes on to retire the
+        classical instructions after the head in the same call, one per
+        cycle, as the rule would: each of those cycles refills the empty
+        buffer with `items[pc]` and retires it alone. A taken branch jumps
+        to its target; its `branch_penalty` dead cycles are charged at once,
+        as the rule charges them, if they end by the run's last cycle, and
+        are left to the rule otherwise. The run ends before a quantum item,
+        an MRCE, the stream's last item (END among them) or an FMR whose
+        register is not readable in its cycle. Its last cycle is no later
+        than `_horizon`, nor than the cycle the next queued issue falls due
+        in, which then issues after that cycle's dispatch, as in the rule.
+        Returns how many cycles it ran past `cycle`."""
         pending = self.pending
         item = pending[0]
         if item[0] == K_END:
@@ -723,11 +742,62 @@ class Core:
                 del pending[0]
         self._close_point(cycle)
         self.attributed += 1
-        if self.fb_mode:
+        fb = self.fb_mode
+        if fb:
             self.pot_f += 1
         else:
             self.pot_c += 1
-        return 0
+        if pending or self.stream_ended or self.contexts or self.width != 1:
+            return 0
+        items = self.engine.items
+        rf = self.engine.result_file
+        clock = self.clock
+        final = self.pc_end     # the stream's last item keeps its own call
+        x = cycle               # the run's last cycle so far
+        last = -1               # the last cycle it may reach, once needed
+        while True:
+            pc = self.pc
+            item = items[pc]
+            classical = pc < final and item[0] == K_CLASSICAL
+            penalty = self.redirect_penalty
+            if not (classical or penalty):
+                break
+            if last < 0:
+                last = self._horizon(cycle)
+                due = -(-self.next_pop_ns // clock)
+                if due < last:
+                    last = due
+            if penalty:
+                if x + penalty > last:
+                    break
+                self.redirect_penalty = 0
+                x += penalty
+                if fb:
+                    self.pot_f += penalty
+                else:
+                    self.pot_s += penalty
+                if not classical:
+                    break
+            if x == last:
+                break
+            if item[1] == _OP_FMR:
+                value, ready, _ = rf[item[8]]
+                if ready > (x + 1) * clock:
+                    break
+                self._write_reg(item[2], value)
+                self.fb_mode = fb = True
+                self.pc = pc + 1
+            else:
+                # a taken branch then sets `pc` and `redirect_penalty`
+                self.pc = pc + 1
+                self._execute_classical_op(item, x + 1, 0)
+            x += 1
+            if fb:
+                self.pot_f += 1
+            else:
+                self.pot_c += 1
+        self.attributed += x - cycle
+        return x - cycle
 
     def _pick_classical(self, pending: list, now_ns: int) -> tuple[int, int]:
         """Index of this cycle's classical instruction (or -1) and the scan
@@ -1089,11 +1159,13 @@ class Core:
 
     def progress_due(self) -> bool:
         """Whether this core is sure to move on at a known time: it has an
-        issue queued, or its stalled FMR or one of its open conditional
-        contexts waits on a result register that has a ready time. An FMR
-        held in the buffer is not counted: a stall ahead of it can keep it
-        there however ready its register is."""
-        if self.next_pop_ns < NEVER:
+        issue queued, it is paused by a context switch, or its stalled FMR
+        or one of its open conditional contexts waits on a result register
+        that has a ready time. An FMR held in the buffer is not counted: a
+        stall ahead of it can keep it there however ready its register is.
+        Nor are a taken branch's dead cycles, which a loop of branches
+        repeats without end."""
+        if self.next_pop_ns < NEVER or self.ctx_pause:
             return True
         rf = self.engine.result_file
         if self.fmr_wait is not None and rf[self.fmr_wait[0]][1] < NEVER:

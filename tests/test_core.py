@@ -586,25 +586,33 @@ HANG = (parse_program("FMR r1, r0\n0 MEAS q0 -> r0\n"),
         "deadlock: no progress for 50 cycles (stalled at cycle 51)")
 # waits longer than the timeout that end at a known time, with their total
 # cycles: an FMR whose register is ready only at cycle 49, past several of
-# the watchdog's checks, and an active reset whose 20-cycle switch pauses
-# the core with its conditional X queued
+# the watchdog's checks, and two active resets whose 20-cycle switch pauses
+# the core, one with its conditional X queued and one with a NOP
 KNOWN_WAITS = [
     (parse_program(_lines(".qubits 2", "0 MEAS q0 -> r0", "FMR r1, r0",
                           "0 H q1", "END")),
      MachineConfig(deadlock_timeout_cycles=5), 53),
-    (parse_program(_lines(".qubits 2", "0 MEAS q0 -> r0",
-                          "MRCE r0, q1, NOP, X", "0 H q0", "END")),
-     MachineConfig(ctx_switch_cycles=20, deadlock_timeout_cycles=10,
-                   qpu=QpuConfig(outcome_bias=1.0)), 71),
+    *[(parse_program(_lines(".qubits 2", "0 MEAS q0 -> r0",
+                            f"MRCE r0, q1, NOP, {op}", "0 H q0", "END")),
+       MachineConfig(ctx_switch_cycles=20, deadlock_timeout_cycles=10,
+                     qpu=QpuConfig(outcome_bias=1.0)), cycles)
+      for op, cycles in (("X", 71), ("NOP", 69))],
 ]
+# loops of taken branches that never end: their dead cycles are no
+# progress, so each faults at the watchdog's check after its one issue
+LIVELOCKS = [
+    (parse_program(_lines(".qubits 1", "0 H q0", "loop:", *body, "END")),
+     "deadlock: no progress for 50 cycles (stalled at cycle 55)")
+    for body in (["JMP loop"], ["ADD r1, r1, r2", "JMP loop"])]
 
 
 def test_deadlock_verdict_does_not_depend_on_the_wake_schedule():
     # the watchdog counts the cycles the engine visits, so it must look at
     # what the cores wait on before it calls a long wait a deadlock; a read
-    # that no measurement can fill still faults, with the same text
+    # that no measurement can fill and a loop of branches still fault, each
+    # with the same text
     cfg = MachineConfig(deadlock_timeout_cycles=50)
-    for program, verdict in (LONG_WAIT, HANG):
+    for program, verdict in (LONG_WAIT, HANG, *LIVELOCKS):
         assert _verdicts(program, cfg) == {verdict}
     for program, cfg, verdict in KNOWN_WAITS:
         assert _verdicts(program, cfg) == {verdict}
@@ -961,6 +969,50 @@ def _grid_configs():
     return configs
 
 
+# a counted loop, taken and untaken branches and a JMP; the `20 H q1`
+# point falls due inside the loop, and the FMR after it reads r0 ready or
+# not, by the branch penalty
+COUNTED_LOOP = parse_program(_lines(
+    ".qubits 4", "0 MEAS q0 -> r0", "20 H q1", "LDI r1, 6", "LDI r2, 1",
+    "LDI r3, 0", "loop:", "SUB r1, r1, r2", "ADD r5, r5, r2", "CMP r1, r3",
+    "BR.ne loop", "FMR r6, r0", "CMP r6, r3", "BR.eq skip", "1 X q2",
+    "skip:", "JMP done", "1 X q3", "done:", "END"))
+
+# an FMR, after a run of classical work, of a register not readable yet
+UNREADY_READ = parse_program(_lines(
+    ".qubits 2", "0 MEAS q0 -> r0", *["LDI r1, 1"] * 5, "FMR r2, r0",
+    "LDI r3, 1", "1 H q1", "END"))
+
+# two counted loops that share r24 and r25, so that on two cores each
+# block's clash mask is non-zero and each core bounds the other's horizon:
+# A's loop runs up to the cycle B's FMR wait ends in; block B ends with a
+# classical instruction, not END
+SHARED_LOOPS = parse_program(_lines(
+    ".qubits 2", "LDI r1, 20", "LDI r2, 1", "loopA:", "ADD r24, r24, r2",
+    "SUB r1, r1, r2", "CMP r1, r3", "BR.ne loopA", "1 H q0", "MOV r4, r25",
+    "END", "0 MEAS q1 -> r7", "FMR r8, r7", "LDI r1, 5", "LDI r2, 1",
+    "loopB:", "ADD r25, r25, r2", "MOV r5, r24", "SUB r1, r1, r2",
+    "CMP r1, r3", "BR.gt loopB", "1 H q1", "LDI r26, 3",
+    ".block A start=0 end=8 deps=none", ".block B start=9 end=19 deps=none"))
+
+# a counted loop whose taken branch is the block's last instruction, so
+# that each redirect reopens an ended stream
+TAIL_LOOP = parse_program(_lines(
+    ".qubits 1", "1 H q0", "LDI r1, 5", "LDI r2, 1", "loop:",
+    "SUB r1, r1, r2", "CMP r1, r0", "BR.ne loop"))
+
+
+def _classical_configs():
+    return [(program, MachineConfig(cores=cores, superscalar_width=width,
+                                    branch_penalty=penalty))
+            for program, core_counts in ((COUNTED_LOOP, (1,)),
+                                         (UNREADY_READ, (1,)),
+                                         (TAIL_LOOP, (1,)),
+                                         (SHARED_LOOPS, (1, 2)))
+            for cores in core_counts for width in (1, 2, 4, 8)
+            for penalty in (0, 1, 2, 5)]
+
+
 def _next_item(core):
     # the core's next instruction, or None at the end of its stream
     if core.pending:
@@ -983,18 +1035,48 @@ def _quantum_next(core):
 
 def _observe(patch, seen):
     """Wrap the kernel's fast paths so that `seen` counts the kinds of work
-    they do in a run. Each classical instruction that dispatches must be
-    the one `_pick_classical` picks."""
+    they do in a run, a classical run by what ends it. Each classical
+    instruction that dispatches must be the one `_pick_classical` picks."""
     alone = Core._dispatch_classical_alone
     picked = Core._dispatch_picked
     fast = Core._dispatch_quantum
     run_cycle = Core.run_cycle
     issue_entry = Core._issue_entry
+    redirect = Core._redirect
     reached = []
+    targets = []
 
     def counted_alone(core, cycle, now_ns):
         seen["classical alone"] += 1
-        return alone(core, cycle, now_ns)
+        last = core._horizon(cycle)
+        targets.clear()
+        extra = alone(core, cycle, now_ns)
+        if not extra:
+            return extra
+        end = cycle + extra
+        if extra > 1:
+            seen["classical run of three cycles or more"] += 1
+        if targets and (len(targets) > 1 or core.pc != targets[0]):
+            seen["classical run across a taken branch"] += 1
+        item = _next_item(core)
+        if item is None:
+            return extra
+        if item[0] == K_QUANTUM and not core.redirect_penalty:
+            seen["classical run stopped by a quantum item"] += 1
+        elif item[0] == K_CLASSICAL:
+            if end == last:
+                seen["classical run stopped by the horizon"] += 1
+            elif end == -(-core.next_pop_ns // core.clock):
+                seen["classical run stopped by a due point"] += 1
+            elif (item[1] == ClassicalOp.FMR
+                  and core.engine.result_file[item[8]][1]
+                  > (end + 1) * core.clock):
+                seen["classical run stopped by an unready FMR"] += 1
+        return extra
+
+    def redirecting(core, target):
+        targets.append(target)
+        return redirect(core, target)
 
     def checked(core, cl_idx, barrier, cycle, now_ns):
         assert core._pick_classical(core.pending, now_ns) == (cl_idx, barrier)
@@ -1046,6 +1128,7 @@ def _observe(patch, seen):
                             ("_dispatch_picked", checked),
                             ("_dispatch_quantum", counted_quantum),
                             ("_issue_entry", issuing),
+                            ("_redirect", redirecting),
                             ("run_cycle", tracked)):
         patch.setattr(Core, method, wrapper)
 
@@ -1057,7 +1140,7 @@ def _wake_configs():
 
 def _deadlock_configs():
     cfg = MachineConfig(deadlock_timeout_cycles=50)
-    return ([(LONG_WAIT[0], cfg), (HANG[0], cfg)]
+    return ([(program, cfg) for program, _ in (LONG_WAIT, HANG, *LIVELOCKS)]
             + [(parse_program(source), MachineConfig(
                 superscalar_width=width, deadlock_timeout_cycles=300))
                for source, width, _ in LONG_POINTS]
@@ -1075,6 +1158,7 @@ INPUT_SETS = {
     "sched_bound": _sched_bound_configs,
     "wakes": _wake_configs,
     "deadlocks": _deadlock_configs,
+    "classical": _classical_configs,
 }
 
 
@@ -1119,6 +1203,11 @@ def test_input_sets_make_the_fast_paths_do_every_kind_of_work():
     classical = _baseline("differential")[2]
     for kind in ("classical alone", "classical beside quantum"):
         assert classical[kind], kind
+    runs = _baseline("classical")[2]
+    for kind in ("of three cycles or more", "across a taken branch",
+                 "stopped by a due point", "stopped by an unready FMR",
+                 "stopped by the horizon", "stopped by a quantum item"):
+        assert runs["classical run " + kind], kind
     quantum = sum((_baseline(inputs)[2] for inputs in (
         "grid", "differential", "probes", "joins", "sched_bound")), Counter())
     for kind in ("run of three cycles or more",
@@ -1170,8 +1259,10 @@ def test_one_dispatch_group_call_per_timing_point(monkeypatch):
 def test_run_ahead_call_counts_pinned(monkeypatch):
     # a core issues its queued points in one call once its stream has
     # ended or while it waits on an FMR, runs quantum work ahead beside an
-    # open context, and runs ahead of the other cores while its block is
-    # independent
+    # open context, runs ahead of the other cores while its block is
+    # independent, retires a run of classical instructions and the dead
+    # cycles of its taken branches in one call, and is first called for a
+    # block when its context switch ends
     calls = []
     run_cycle = Core.run_cycle
 
@@ -1188,7 +1279,7 @@ def test_run_ahead_call_counts_pinned(monkeypatch):
     Engine(gen_dense(8, 300), MachineConfig(superscalar_width=8)).run()
     assert len(calls) <= 6
     steane = gen_steane_syndrome()
-    for cores, most in ((1, 450), (2, 450), (6, 465)):
+    for cores, most in ((1, 148), (2, 164), (6, 179)):
         calls.clear()
         cfg = MachineConfig(cores=cores, seed=1)
         cfg.qpu.outcome_bias = 0.1
@@ -1204,6 +1295,12 @@ def test_run_ahead_call_counts_pinned(monkeypatch):
     source, kw = WAKE_PROBES["shared_block_waits_on_own_register"]
     Engine(parse_program(source), MachineConfig(**kw)).run()
     assert len(calls) <= 57
+    calls.clear()
+    Engine(COUNTED_LOOP, MachineConfig()).run()
+    assert len(calls) <= 8
+    calls.clear()
+    Engine(TAIL_LOOP, MachineConfig()).run()
+    assert len(calls) <= 8
 
 
 def test_fast_path_leaves_the_buffer_as_the_rule_does(monkeypatch):
